@@ -15,9 +15,9 @@
 //!
 //! Besides the end-to-end report the suite writes a per-layer breakdown of
 //! the GNN inference engine (`BENCH_gnn_inference.json`): node GEMMs, edge
-//! GEMM, aggregation, Ψ update and decoder, measured by
-//! [`DdmGnnPreconditioner::apply_timed`] over whole preconditioner
-//! applications.  Every GNN measurement (apply kernel, per-layer stages,
+//! gather, Ψ update and decoder, measured by
+//! [`DdmGnnPreconditioner::apply_batch_timed`] over whole preconditioner
+//! applications (one column for the single-right-hand-side rows).  Every GNN measurement (apply kernel, per-layer stages,
 //! plan memory, e2e solve) runs once per inference precision — the f64
 //! engine, the f32/SIMD engine and the quantised int8/bf16 engine — and the
 //! rows are tagged `precision=f64|f32|int8`; the per-layer report closes
@@ -261,7 +261,11 @@ fn child() {
                     let reps = if smoke { 1 } else { 3 };
                     let mut timings = InferenceTimings::default();
                     for _ in 0..reps {
-                        precond.apply_timed(&r, &mut z, &mut timings);
+                        precond.apply_batch_timed(
+                            &[r.as_slice()],
+                            &mut [z.as_mut_slice()],
+                            &mut timings,
+                        );
                     }
                     for (stage, ns) in timings.stages() {
                         println!(
@@ -483,7 +487,7 @@ fn parent() {
 }
 
 /// Render the per-layer GNN inference report.  Stage timings come from
-/// sequential `apply_timed` runs, so they are thread-count independent; the
+/// sequential `apply_batch_timed` runs, so they are thread-count independent; the
 /// records of the lowest measured thread count are kept.  Every row carries
 /// a `precision` tag (`"f64"` / `"f32"` / `"int8"`), and the report closes
 /// with the per-problem f32-vs-f64 and int8-vs-f32 `gnn_apply` speedups and
@@ -512,7 +516,7 @@ fn render_gnn_inference_json(thread_counts: &[usize], records: &[Record]) -> Str
     let _ = writeln!(s, "  \"command\": \"cargo run --release -p bench --bin perf_suite\",");
     let _ = writeln!(
         s,
-        "  \"stage_timer\": \"DdmGnnPreconditioner::apply_timed (sequential sub-domain sweep)\","
+        "  \"stage_timer\": \"DdmGnnPreconditioner::apply_batch_timed (sequential sub-domain sweep)\","
     );
     let _ = writeln!(
         s,

@@ -30,21 +30,21 @@ use std::sync::Arc;
 use sanitizer::TrackedMutex;
 
 /// Reusable per-sub-domain buffers for one preconditioner application: the
-/// restricted (then normalised in place) residual, the DSS output, the norm
-/// used to undo the normalisation at gluing time, and the full GNN inference
-/// scratch (f64, f32 and quantised — only the active precision's buffers
-/// ever grow).  Pre-sizing these makes `apply` allocation-free per iteration.
+/// contiguous restriction buffer, the column-interleaved residual and
+/// correction panels, the per-column norms used to undo the normalisation at
+/// gluing time, and the full GNN inference scratch (f64, f32 and quantised —
+/// only the active precision's buffers ever grow).  Pre-sizing these makes
+/// `apply` allocation-free per iteration.
 struct SubdomainScratch {
+    /// One column's restricted (then normalised in place) residual.
     local_r: Vec<f64>,
-    correction: Vec<f64>,
-    norm: f64,
-    /// Column-interleaved `num_local × b` residual panel of the batched
-    /// apply (batch width tracked by `norms_b.len()`).
+    /// Column-interleaved `num_local × b` residual panel (batch width
+    /// tracked by `norms_b.len()`; at `b = 1` it is the plain vector).
     local_rb: Vec<f64>,
     /// Column-interleaved `num_local × b` correction panel.
     correction_b: Vec<f64>,
-    /// Per-column restriction norms of the batched apply (`0.0` marks a
-    /// vanishing column that skips both inference output and gluing).
+    /// Per-column restriction norms (`0.0` marks a vanishing column that
+    /// skips both inference output and gluing).
     norms_b: Vec<f64>,
     infer: InferScratch,
     infer32: InferScratchF32,
@@ -56,8 +56,6 @@ impl SubdomainScratch {
         TrackedMutex::new(
             SubdomainScratch {
                 local_r: vec![0.0; dim],
-                correction: vec![0.0; dim],
-                norm: 0.0,
                 local_rb: Vec::new(),
                 correction_b: Vec::new(),
                 norms_b: Vec::new(),
@@ -352,66 +350,21 @@ impl DdmGnnPreconditioner {
         }
     }
 
-    /// Restrict, normalise and infer one sub-domain into its scratch slot,
-    /// optionally accumulating per-stage timings.
-    fn solve_local(&self, i: usize, r: &[f64], timings: Option<&mut InferenceTimings>) {
-        let mut guard = self.scratch[i].lock();
-        let SubdomainScratch { local_r, correction, norm, infer, infer32, inferq, .. } =
-            &mut *guard;
-        self.restrictions[i].restrict_into(r, local_r);
-        *norm = sparse::vector::norm2(local_r);
-        if *norm <= f64::MIN_POSITIVE {
-            *norm = 0.0;
-            return;
-        }
-        for v in local_r.iter_mut() {
-            *v /= *norm;
-        }
-        match (&self.plans, timings) {
-            (PlanSet::F64(plans), Some(t)) => {
-                self.model.infer_with_plan_timed(&plans[i], local_r, infer, correction, t)
-            }
-            (PlanSet::F64(plans), None) => {
-                self.model.infer_with_plan_into(&plans[i], local_r, infer, correction)
-            }
-            (PlanSet::F32(plans), Some(t)) => {
-                self.model.infer_with_plan_f32_timed(&plans[i], local_r, infer32, correction, t)
-            }
-            (PlanSet::F32(plans), None) => {
-                self.model.infer_with_plan_f32_into(&plans[i], local_r, infer32, correction)
-            }
-            (PlanSet::Int8(plans), Some(t)) => {
-                self.model.infer_with_plan_q_timed(&plans[i], local_r, inferq, correction, t)
-            }
-            (PlanSet::Int8(plans), None) => {
-                self.model.infer_with_plan_q_into(&plans[i], local_r, inferq, correction)
-            }
-        }
-    }
-
-    /// Batched [`DdmGnnPreconditioner::solve_local`]: restrict, normalise
-    /// and infer all `b` residuals of one sub-domain through **one** panel
-    /// inference, so the plan streams (weights, static geo terms) are read
-    /// once for the whole batch.
+    /// Restrict, normalise and infer all `b` residuals of one sub-domain
+    /// through **one** panel inference, so the plan streams (weights, static
+    /// geo terms) are read once for the whole batch.  A single right-hand
+    /// side is the `b = 1` case.
     ///
     /// Each column is restricted and normalised through the same contiguous
-    /// buffer and operation order as the unbatched path, then scattered into
-    /// the column-interleaved panel — so together with the per-column
-    /// bit-identity of the batched inference engines, column `c`'s correction
-    /// is bit-identical to an unbatched `solve_local` on `rs[c]`.
+    /// buffer and operation order, then scattered into the column-interleaved
+    /// panel — so together with the per-column bit-identity of the batched
+    /// inference engines, column `c`'s correction is bit-identical to a
+    /// `b = 1` call on `rs[c]` alone.
     fn solve_local_batch(&self, i: usize, rs: &[&[f64]], timings: Option<&mut InferenceTimings>) {
         let b = rs.len();
         let mut guard = self.scratch[i].lock();
-        let SubdomainScratch {
-            local_r,
-            local_rb,
-            correction_b,
-            norms_b,
-            infer,
-            infer32,
-            inferq,
-            ..
-        } = &mut *guard;
+        let SubdomainScratch { local_r, local_rb, correction_b, norms_b, infer, infer32, inferq } =
+            &mut *guard;
         let nl = local_r.len();
         local_rb.resize(nl * b, 0.0);
         correction_b.resize(nl * b, 0.0);
@@ -484,54 +437,10 @@ impl DdmGnnPreconditioner {
         }
     }
 
-    /// Gluing (Eq. 16): `z = Σ Rᵢᵀ ‖Rᵢ r‖ r̃ᵢ (+ coarse correction)`,
-    /// accumulated sequentially in sub-domain order so the result does not
-    /// depend on the thread count.
-    fn glue(&self, r: &[f64], z: &mut [f64]) {
-        for zi in z.iter_mut() {
-            *zi = 0.0;
-        }
-        for (restriction, scratch) in self.restrictions.iter().zip(self.scratch.iter()) {
-            let guard = scratch.lock();
-            if guard.norm > 0.0 {
-                restriction.extend_add_scaled(guard.norm, &guard.correction, z);
-            }
-        }
-        if let Some(coarse) = &self.coarse {
-            if let Err(e) = coarse.apply_into(r, z) {
-                // Skip the coarse contribution; the glued local corrections
-                // alone are still a valid (one-level) preconditioner.
-                self.faults.lock().record(FaultEvent::new(
-                    FaultKind::NumericalError,
-                    self.applies.load(Ordering::SeqCst).saturating_sub(1),
-                    &self.name,
-                    format!("coarse correction failed: {e}"),
-                ));
-            }
-        }
-    }
-
-    /// [`Preconditioner::apply`] with a per-stage wall-clock breakdown of the
-    /// GNN inference accumulated into `timings`.
-    ///
-    /// The sub-domains are processed **sequentially** so the stage buckets
-    /// measure kernel time rather than scheduler contention; the result
-    /// written to `z` is bit-identical to [`Preconditioner::apply`] (which
-    /// glues in sub-domain order for exactly that reason).
-    pub fn apply_timed(&self, r: &[f64], z: &mut [f64], timings: &mut InferenceTimings) {
-        debug_assert_eq!(r.len(), self.num_global);
-        debug_assert_eq!(z.len(), self.num_global);
-        let _exclusive = self.apply_guard.lock();
-        self.applies.fetch_add(1, Ordering::SeqCst);
-        for i in 0..self.restrictions.len() {
-            self.solve_local(i, r, Some(&mut *timings));
-        }
-        self.glue(r, z);
-    }
-
-    /// Batched gluing: per column, same sub-domain order and the same
-    /// scaled scatter-add as [`DdmGnnPreconditioner::glue`], then the coarse
-    /// correction applied column by column.
+    /// Gluing (Eq. 16): per column `z = Σ Rᵢᵀ ‖Rᵢ r‖ r̃ᵢ (+ coarse
+    /// correction)`, accumulated sequentially in sub-domain order so the
+    /// result does not depend on the thread count; the coarse correction is
+    /// applied column by column.
     fn glue_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
         let b = rs.len();
         for z in zs.iter_mut() {
@@ -556,11 +465,14 @@ impl DdmGnnPreconditioner {
         if let Some(coarse) = &self.coarse {
             for (c, (r, z)) in rs.iter().zip(zs.iter_mut()).enumerate() {
                 if let Err(e) = coarse.apply_into(r, z) {
+                    // Skip the coarse contribution; the glued local
+                    // corrections alone are still a valid (one-level)
+                    // preconditioner.
                     self.faults.lock().record(FaultEvent::new(
                         FaultKind::NumericalError,
                         self.applies.load(Ordering::SeqCst).saturating_sub(1),
                         &self.name,
-                        format!("coarse correction failed in batch column {c}: {e}"),
+                        format!("coarse correction failed in column {c}: {e}"),
                     ));
                 }
             }
@@ -568,10 +480,11 @@ impl DdmGnnPreconditioner {
     }
 
     /// [`Preconditioner::apply_batch`] with the per-stage inference breakdown
-    /// accumulated into `timings` — the batched sibling of
-    /// [`DdmGnnPreconditioner::apply_timed`], sub-domains processed
-    /// sequentially so the stage buckets measure kernel time.  Bit-identical
-    /// to the parallel batched apply.
+    /// accumulated into `timings` (one column is the timed
+    /// [`Preconditioner::apply`]).  The sub-domains are processed
+    /// **sequentially** so the stage buckets measure kernel time rather than
+    /// scheduler contention; the result is bit-identical to the parallel
+    /// apply, which glues in sub-domain order for exactly that reason.
     pub fn apply_batch_timed(
         &self,
         rs: &[&[f64]],
@@ -590,17 +503,7 @@ impl DdmGnnPreconditioner {
 
 impl Preconditioner for DdmGnnPreconditioner {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        debug_assert_eq!(r.len(), self.num_global);
-        debug_assert_eq!(z.len(), self.num_global);
-        let _exclusive = self.apply_guard.lock();
-        self.applies.fetch_add(1, Ordering::SeqCst);
-
-        // Local problems: restrict, normalise, infer — all sub-domains in
-        // parallel (the batched GPU inference of Eq. 14 mapped onto rayon),
-        // each writing into its own pre-sized scratch so the steady state
-        // allocates nothing.
-        (0..self.restrictions.len()).into_par_iter().for_each(|i| self.solve_local(i, r, None));
-        self.glue(r, z);
+        self.apply_batch(&[r], &mut [z]);
     }
 
     fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
@@ -609,9 +512,12 @@ impl Preconditioner for DdmGnnPreconditioner {
         debug_assert!(zs.iter().all(|z| z.len() == self.num_global));
         let _exclusive = self.apply_guard.lock();
         self.applies.fetch_add(1, Ordering::SeqCst);
-        // Each sub-domain gathers its b local residuals into one panel and
-        // runs a single batched inference — the plan streams are read once
-        // per batch instead of once per column.
+        // Local problems: restrict, normalise, infer — all sub-domains in
+        // parallel (the batched GPU inference of Eq. 14 mapped onto rayon),
+        // each writing into its own pre-sized scratch so the steady state
+        // allocates nothing.  Each sub-domain gathers its b local residuals
+        // into one panel and runs a single batched inference — the plan
+        // streams are read once per batch instead of once per column.
         (0..self.restrictions.len())
             .into_par_iter()
             .for_each(|i| self.solve_local_batch(i, rs, None));
@@ -715,7 +621,7 @@ mod tests {
         let mut z_timed = vec![0.0; r.len()];
         precond.apply(&r, &mut z);
         let mut timings = gnn::InferenceTimings::default();
-        precond.apply_timed(&r, &mut z_timed, &mut timings);
+        precond.apply_batch_timed(&[r.as_slice()], &mut [z_timed.as_mut_slice()], &mut timings);
         assert_eq!(z, z_timed, "timed apply must not change the correction");
         assert_eq!(timings.calls as usize, precond.num_subdomains());
     }
@@ -856,7 +762,7 @@ mod tests {
         // Timed apply matches the parallel apply bit-for-bit in f32 mode too.
         let mut z32_timed = vec![0.0; r.len()];
         let mut timings = gnn::InferenceTimings::default();
-        p32.apply_timed(&r, &mut z32_timed, &mut timings);
+        p32.apply_batch_timed(&[r.as_slice()], &mut [z32_timed.as_mut_slice()], &mut timings);
         assert_eq!(z32, z32_timed);
         assert_eq!(timings.calls as usize, p32.num_subdomains());
     }
@@ -929,7 +835,7 @@ mod tests {
         // Timed apply matches the parallel apply bit-for-bit in int8 mode too.
         let mut zq_timed = vec![0.0; r.len()];
         let mut timings = gnn::InferenceTimings::default();
-        pq.apply_timed(&r, &mut zq_timed, &mut timings);
+        pq.apply_batch_timed(&[r.as_slice()], &mut [zq_timed.as_mut_slice()], &mut timings);
         assert_eq!(zq, zq_timed);
         assert_eq!(timings.calls as usize, pq.num_subdomains());
     }

@@ -741,8 +741,15 @@ fn gemm_t_core_i8<E: QuantActivation, const ACC: bool>(
 // **Determinism contract, batched form:** each column's output element still
 // accumulates its dot product strictly in ascending `i` order from its
 // initial value, with a separate multiply and add per term.  Column `c` of a
-// batched panel is therefore bit-identical to the unbatched kernel run on
-// column `c` alone — at every batch width `b`, not just `b = 1`.
+// batched panel is therefore bit-identical to the row-major kernel run on
+// column `c` alone, at every batch width `b`.
+//
+// At `b = 1` the column-interleaved panel *is* the row-major matrix, so the
+// batched entry points hand it straight to the row-major cores above: their
+// 4×4 (f64) and 4×8-lane (f32/int8) register tiles keep 16 accumulator
+// chains and the SIMD axpy in play, where a 1-column panel tile would run
+// 4 chains (f64) or scalar code (f32/int8).  Both keep the ascending-`i`
+// order, so the dispatch changes no result bit.
 
 /// Widest column group handled by one register tile; wider batches sweep in
 /// chunks of this size (chunking over `c` never reorders any column's
@@ -805,6 +812,9 @@ fn gemm_b_core<const ACC: bool>(
     debug_assert_eq!(x.len(), n * in_dim * b);
     debug_assert_eq!(weight.len(), out_dim * in_dim);
     debug_assert_eq!(y.len(), n * out_dim * b);
+    if b == 1 {
+        return gemm_core::<ACC>(x, n, in_dim, out_dim, weight, bias, y);
+    }
     let mut c0 = 0;
     while c0 + B_CHUNK <= b {
         gemm_b_panel::<B_CHUNK, ACC>(x, n, in_dim, out_dim, b, c0, weight, bias, y);
@@ -953,6 +963,9 @@ fn gemm_tb_core_f32<const ACC: bool>(
     debug_assert_eq!(x.len(), n * in_dim * b);
     debug_assert_eq!(wt.len(), in_dim * out_dim);
     debug_assert_eq!(y.len(), n * out_dim * b);
+    if b == 1 {
+        return gemm_t_core_f32::<ACC>(x, n, in_dim, out_dim, wt, bias, y);
+    }
     let mut c0 = 0;
     while c0 + B_CHUNK <= b {
         gemm_tb_panel_f32::<B_CHUNK, ACC>(x, n, in_dim, out_dim, b, c0, wt, bias, y);
@@ -1110,7 +1123,10 @@ fn gemm_tb_core_i8<E: QuantActivation, const ACC: bool>(
     debug_assert_eq!(wq.len(), in_dim * out_dim);
     debug_assert_eq!(scale.len(), out_dim);
     debug_assert_eq!(y.len(), n * out_dim * b);
-    // Widen the int8 weight to f32 once per call, like the unbatched core.
+    if b == 1 {
+        return gemm_t_core_i8::<E, ACC>(x, n, in_dim, out_dim, wq, scale, wbuf, y);
+    }
+    // Widen the int8 weight to f32 once per call, like the row-major core.
     wbuf.clear();
     wbuf.extend(wq.iter().map(|&q| q as f32));
     let mut c0 = 0;
@@ -1537,7 +1553,9 @@ mod tests {
     #[test]
     fn batched_f64_columns_bit_identical_to_unbatched() {
         let mut rng = StdRng::seed_from_u64(91);
-        for &b in &[1usize, 2, 3, 5, 8, 11] {
+        // b = 1 takes the row-major core; b ≡ 1 (mod 8) (here 9) is what
+        // reaches the 1-column remainder panel.
+        for &b in &[1usize, 2, 3, 5, 8, 9, 11] {
             for &(n, in_dim, out_dim) in
                 &[(0usize, 3usize, 2usize), (1, 10, 10), (5, 10, 20), (9, 20, 10), (23, 7, 5)]
             {
@@ -1618,7 +1636,8 @@ mod tests {
     #[test]
     fn batched_i8_columns_bit_identical_to_unbatched() {
         let mut rng = StdRng::seed_from_u64(93);
-        for &b in &[1usize, 3, 8] {
+        // b = 9 reaches the 1-column remainder panel (b = 1 does not).
+        for &b in &[1usize, 3, 8, 9] {
             for &(n, in_dim, out_dim) in &[(1usize, 10usize, 10usize), (6, 20, 10), (13, 10, 20)] {
                 let xs: Vec<Vec<f32>> = (0..b)
                     .map(|_| (0..n * in_dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect())

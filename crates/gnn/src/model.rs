@@ -101,27 +101,29 @@ impl Block {
 /// ([`DssModel::infer_with_plan_into`] and friends).
 ///
 /// Create once (cheap, everything starts empty), pass to every inference
-/// call; buffers are sized lazily to the largest graph seen and reused
-/// afterwards.  Holding one scratch per sub-domain keeps the preconditioner's
-/// hot path allocation-free without any sharing between threads; batched
-/// inference recycles them through a [`ScratchPool`].
+/// call; buffers are sized lazily to the largest graph and batch width seen
+/// and reused afterwards.  Every buffer is a column-interleaved panel of
+/// `b` right-hand sides (`n × d × b`; at `b = 1` a plain row-major matrix).
+/// Holding one scratch per sub-domain keeps the preconditioner's hot path
+/// allocation-free without any sharing between threads; batched inference
+/// recycles them through a [`ScratchPool`].
 #[derive(Debug, Default)]
 pub struct InferScratch {
-    /// Latent state `H` (`n × d`).
+    /// Latent state `H` (`n × d × b`).
     h: Vec<f64>,
-    /// Node-level destination term `H W_dstᵀ` (`n × d`).
+    /// Node-level destination term `H W_dstᵀ`.
     a_dst: Vec<f64>,
-    /// Node-level source term `H W_srcᵀ` (`n × d`).
+    /// Node-level source term `H W_srcᵀ`.
     a_src: Vec<f64>,
-    /// Per-node sum of ReLU'd forward-message hidden activations (`n × d`).
+    /// Per-node sum of ReLU'd forward-message hidden activations.
     hsum_fwd: Vec<f64>,
     /// Per-node sum of ReLU'd backward-message hidden activations.
     hsum_bwd: Vec<f64>,
-    /// Ψ pre-activation / hidden activation (`n × d`).
+    /// Ψ pre-activation / hidden activation.
     psi_hidden: Vec<f64>,
-    /// Ψ output (`n × d`).
+    /// Ψ output.
     update: Vec<f64>,
-    /// Decoder hidden-activation buffer (`n × d`).
+    /// Decoder hidden-activation buffer.
     hidden: Vec<f64>,
 }
 
@@ -328,7 +330,8 @@ impl DssModel {
     }
 
     /// Run the single-precision engine on a prebuilt f32 plan — the f32
-    /// sibling of [`DssModel::infer_with_plan_into`].
+    /// sibling of [`DssModel::infer_with_plan_into`] (the batched pass at
+    /// `b = 1`).
     pub fn infer_with_plan_f32_into(
         &self,
         plan: &InferencePlanF32,
@@ -336,22 +339,7 @@ impl DssModel {
         scratch: &mut InferScratchF32,
         out: &mut [f64],
     ) {
-        self.check_plan_f32(plan);
-        plan.infer_into(input, scratch, out);
-    }
-
-    /// [`DssModel::infer_with_plan_f32_into`] with a per-stage wall-clock
-    /// breakdown accumulated into `timings`.
-    pub fn infer_with_plan_f32_timed(
-        &self,
-        plan: &InferencePlanF32,
-        input: &[f64],
-        scratch: &mut InferScratchF32,
-        out: &mut [f64],
-        timings: &mut InferenceTimings,
-    ) {
-        self.check_plan_f32(plan);
-        plan.infer_timed(input, scratch, out, timings);
+        self.infer_with_plan_f32_batched_into(plan, input, 1, scratch, out);
     }
 
     fn check_plan_f32(&self, plan: &InferencePlanF32) {
@@ -372,7 +360,7 @@ impl DssModel {
     }
 
     /// Run the quantised engine on a prebuilt plan — the int8/bf16 sibling of
-    /// [`DssModel::infer_with_plan_into`].
+    /// [`DssModel::infer_with_plan_into`] (the batched pass at `b = 1`).
     pub fn infer_with_plan_q_into(
         &self,
         plan: &InferencePlanQ,
@@ -380,22 +368,7 @@ impl DssModel {
         scratch: &mut InferScratchQ,
         out: &mut [f64],
     ) {
-        self.check_plan_q(plan);
-        plan.infer_into(input, scratch, out);
-    }
-
-    /// [`DssModel::infer_with_plan_q_into`] with a per-stage wall-clock
-    /// breakdown accumulated into `timings`.
-    pub fn infer_with_plan_q_timed(
-        &self,
-        plan: &InferencePlanQ,
-        input: &[f64],
-        scratch: &mut InferScratchQ,
-        out: &mut [f64],
-        timings: &mut InferenceTimings,
-    ) {
-        self.check_plan_q(plan);
-        plan.infer_timed(input, scratch, out, timings);
+        self.infer_with_plan_q_batched_into(plan, input, 1, scratch, out);
     }
 
     fn check_plan_q(&self, plan: &InferencePlanQ) {
@@ -420,11 +393,13 @@ impl DssModel {
         out: &mut [f64],
     ) {
         let plan = InferencePlan::new(self, graph);
-        self.infer_plan_core(&plan, input, scratch, out, None);
+        self.infer_with_plan_into(&plan, input, scratch, out);
     }
 
-    /// The optimised inference engine: split-weight node-level GEMMs,
-    /// precomputed static edge terms, contiguous message aggregation.
+    /// The optimised inference engine on one right-hand side: split-weight
+    /// node-level GEMMs, precomputed static edge terms, contiguous message
+    /// aggregation.  This is [`DssModel::infer_with_plan_batched_into`] at
+    /// `b = 1`, where the column-interleaved panel is the plain vector.
     ///
     /// All intermediates live in `scratch` (sized on first use, reused across
     /// calls), so the steady state performs zero heap allocation.  Only the
@@ -437,126 +412,7 @@ impl DssModel {
         scratch: &mut InferScratch,
         out: &mut [f64],
     ) {
-        self.infer_plan_core(plan, input, scratch, out, None);
-    }
-
-    /// [`DssModel::infer_with_plan_into`] with a per-stage wall-clock
-    /// breakdown accumulated into `timings` (used by the perf suite).  The
-    /// output is bit-identical to the untimed path.
-    pub fn infer_with_plan_timed(
-        &self,
-        plan: &InferencePlan,
-        input: &[f64],
-        scratch: &mut InferScratch,
-        out: &mut [f64],
-        timings: &mut InferenceTimings,
-    ) {
-        self.infer_plan_core(plan, input, scratch, out, Some(timings));
-    }
-
-    fn infer_plan_core(
-        &self,
-        plan: &InferencePlan,
-        input: &[f64],
-        scratch: &mut InferScratch,
-        out: &mut [f64],
-        mut timings: Option<&mut InferenceTimings>,
-    ) {
-        let d = self.config.latent_dim;
-        let n = plan.num_nodes;
-        assert_eq!(plan.latent_dim, d, "plan built for a different latent dimension");
-        assert_eq!(plan.num_blocks, self.blocks.len(), "plan built for a different model depth");
-        assert_eq!(input.len(), n, "input length mismatch");
-        assert_eq!(out.len(), n, "output length mismatch");
-
-        let InferScratch { h, a_dst, a_src, hsum_fwd, hsum_bwd, psi_hidden, update, hidden } =
-            scratch;
-        h.clear();
-        h.resize(n * d, 0.0);
-        a_dst.resize(n * d, 0.0);
-        a_src.resize(n * d, 0.0);
-        hsum_fwd.resize(n * d, 0.0);
-        hsum_bwd.resize(n * d, 0.0);
-        psi_hidden.resize(n * d, 0.0);
-        update.resize(n * d, 0.0);
-
-        let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-        macro_rules! tick {
-            ($field:ident) => {
-                if let Some(t) = timings.as_deref_mut() {
-                    let now = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-                    t.$field += now.duration_since(last).as_nanos() as u64;
-                    last = now;
-                }
-            };
-        }
-
-        for (block, pb) in self.blocks.iter().zip(plan.blocks.iter()) {
-            for dir in 0..2 {
-                let (w_dst, w_src, geo, hsum) = if dir == 0 {
-                    (&pb.w_dst_fwd, &pb.w_src_fwd, &pb.geo_fwd, &mut *hsum_fwd)
-                } else {
-                    (&pb.w_dst_bwd, &pb.w_src_bwd, &pb.geo_bwd, &mut *hsum_bwd)
-                };
-                // Node-level GEMMs: the h-dependent halves of the split first
-                // layer, `n × d` instead of `e × (2d + 3)`.
-                gemm::gemm_into(h, n, d, d, w_dst, a_dst);
-                gemm::gemm_into(h, n, d, d, w_src, a_src);
-                tick!(node_gemm_ns);
-                // Fused edge sweep: per-edge hidden pre-activation = static
-                // geometric term + gathered node terms, ReLU'd and summed
-                // straight into the per-node accumulator.  The second message
-                // layer is linear, so it is applied once per *node* inside
-                // the Ψ stage (composed into `psi_m_*`) rather than per edge
-                // — no e × d intermediate exists at all.
-                for j in 0..n {
-                    let adj = &a_dst[j * d..(j + 1) * d];
-                    let acc = &mut hsum[j * d..(j + 1) * d];
-                    acc.fill(0.0);
-                    for slot in plan.edge_ptr[j]..plan.edge_ptr[j + 1] {
-                        let src = plan.edge_src[slot];
-                        let asj = &a_src[src * d..(src + 1) * d];
-                        let g = &geo[slot * d..(slot + 1) * d];
-                        for k in 0..d {
-                            acc[k] += (g[k] + adj[k] + asj[k]).max(0.0);
-                        }
-                    }
-                }
-                tick!(edge_gather_ns);
-            }
-            // Ψ update.  The pre-activation starts from the per-graph static
-            // term (bias + degree-scaled message biases) plus the per-apply
-            // `W_c c` term, then accumulates the three latent-dependent GEMMs
-            // (the message ones pre-composed with the second message layer).
-            for j in 0..n {
-                let c = input[j];
-                let stat = &pb.psi_static[j * d..(j + 1) * d];
-                let row = &mut psi_hidden[j * d..(j + 1) * d];
-                for k in 0..d {
-                    row[k] = stat[k] + pb.psi_w_c[k] * c;
-                }
-            }
-            gemm::gemm_acc_into(h, n, d, d, &pb.psi_w_h, psi_hidden);
-            gemm::gemm_acc_into(hsum_fwd, n, d, d, &pb.psi_m_fwd, psi_hidden);
-            gemm::gemm_acc_into(hsum_bwd, n, d, d, &pb.psi_m_bwd, psi_hidden);
-            for v in psi_hidden.iter_mut() {
-                *v = v.max(0.0);
-            }
-            block.psi.l2.forward_into(psi_hidden, n, update);
-            for i in 0..n * d {
-                h[i] += self.config.alpha * update[i];
-            }
-            tick!(psi_update_ns);
-        }
-        match self.blocks.last() {
-            Some(block) => block.decoder.forward_into(h, n, hidden, out),
-            None => out.fill(0.0),
-        }
-        tick!(decoder_ns);
-        let _ = last; // the final tick's stamp is intentionally unused
-        if let Some(t) = timings {
-            t.calls += 1;
-        }
+        self.infer_with_plan_batched_into(plan, input, 1, scratch, out);
     }
 
     /// Batched planned inference: run the f64 engine on `b` right-hand sides
@@ -701,12 +557,17 @@ impl DssModel {
                 } else {
                     (&pb.w_dst_bwd, &pb.w_src_bwd, &pb.geo_bwd, &mut *hsum_bwd)
                 };
+                // Node-level GEMMs: the h-dependent halves of the split first
+                // layer, `n × d` instead of `e × (2d + 3)`.
                 gemm::gemm_into_b(h, n, d, d, b, w_dst, a_dst);
                 gemm::gemm_into_b(h, n, d, d, b, w_src, a_src);
                 tick!(node_gemm_ns);
-                // Fused edge sweep: the static geometric term is loaded once
-                // per edge and broadcast over the b columns; each column's
-                // accumulation order matches the unbatched sweep exactly.
+                // Fused edge sweep: per-edge hidden pre-activation = static
+                // geometric term + gathered node terms, ReLU'd and summed
+                // straight into the per-node accumulator.  The second message
+                // layer is linear, so it is applied once per *node* inside
+                // the Ψ stage (composed into `psi_m_*`) rather than per edge
+                // — no e × d intermediate exists at all.
                 for j in 0..n {
                     let adj = &a_dst[j * db..(j + 1) * db];
                     let acc = &mut hsum[j * db..(j + 1) * db];
@@ -715,22 +576,26 @@ impl DssModel {
                         let src = plan.edge_src[slot];
                         let asj = &a_src[src * db..(src + 1) * db];
                         let g = &geo[slot * d..(slot + 1) * d];
-                        for (k, &gk) in g.iter().enumerate() {
-                            let ak = &mut acc[k * b..(k + 1) * b];
-                            let adjk = &adj[k * b..(k + 1) * b];
-                            let asjk = &asj[k * b..(k + 1) * b];
-                            for c in 0..b {
-                                ak[c] += (gk + adjk[c] + asjk[c]).max(0.0);
-                            }
-                        }
+                        relu_sum3_acc_b(acc, g, adj, asj, b);
                     }
                 }
                 tick!(edge_gather_ns);
             }
+            // Ψ update.  The pre-activation starts from the per-graph static
+            // term (bias + degree-scaled message biases) plus the per-apply
+            // `W_c c` term, then accumulates the three latent-dependent GEMMs
+            // (the message ones pre-composed with the second message layer).
             for j in 0..n {
                 let cin = &input[j * b..(j + 1) * b];
                 let stat = &pb.psi_static[j * d..(j + 1) * d];
                 let row = &mut psi_hidden[j * db..(j + 1) * db];
+                if b == 1 {
+                    // Contiguous `d`-wide row body (vectorises).
+                    for k in 0..d {
+                        row[k] = stat[k] + pb.psi_w_c[k] * cin[0];
+                    }
+                    continue;
+                }
                 for k in 0..d {
                     let s = stat[k];
                     let wc = pb.psi_w_c[k];
@@ -793,7 +658,7 @@ impl DssModel {
                 let plan = InferencePlan::new(self, g);
                 let mut scratch = pool.acquire();
                 let mut out = vec![0.0; g.num_nodes()];
-                self.infer_plan_core(&plan, &g.input, &mut scratch, &mut out, None);
+                self.infer_with_plan_into(&plan, &g.input, &mut scratch, &mut out);
                 pool.release(scratch);
                 out
             })
@@ -959,6 +824,31 @@ impl DssModel {
             *m += alpha * t;
         }
         self.load_flat(&mine);
+    }
+}
+
+/// Fused f64 edge-sweep body: `acc[k·b + c] += max(g[k] + adj[k·b + c] +
+/// asj[k·b + c], 0)` over `d × b` column-interleaved panels, the static row
+/// `g` loaded once per edge and broadcast over the `b` columns.  At `b = 1`
+/// the panels are plain `d`-wide rows and the contiguous body runs instead
+/// (same per-element operations, but it vectorises).
+#[inline(always)]
+fn relu_sum3_acc_b(acc: &mut [f64], g: &[f64], adj: &[f64], asj: &[f64], b: usize) {
+    if b == 1 {
+        let d = acc.len();
+        let (g, adj, asj) = (&g[..d], &adj[..d], &asj[..d]);
+        for k in 0..d {
+            acc[k] += (g[k] + adj[k] + asj[k]).max(0.0);
+        }
+        return;
+    }
+    for (k, &gk) in g.iter().enumerate() {
+        let ak = &mut acc[k * b..(k + 1) * b];
+        let adjk = &adj[k * b..(k + 1) * b];
+        let asjk = &asj[k * b..(k + 1) * b];
+        for c in 0..b {
+            ak[c] += (gk + adjk[c] + asjk[c]).max(0.0);
+        }
     }
 }
 
@@ -1316,9 +1206,10 @@ mod tests {
         let mut timed_out = vec![0.0; graph.num_nodes()];
         let mut timings = crate::plan::InferenceTimings::default();
         model.infer_with_plan_f32_into(&plan, &graph.input, &mut scratch, &mut out);
-        model.infer_with_plan_f32_timed(
+        model.infer_with_plan_f32_batched_timed(
             &plan,
             &graph.input,
+            1,
             &mut scratch,
             &mut timed_out,
             &mut timings,
@@ -1337,9 +1228,10 @@ mod tests {
         let mut timed_out = vec![0.0; graph.num_nodes()];
         let mut timings = crate::plan::InferenceTimings::default();
         model.infer_with_plan_into(&plan, &graph.input, &mut scratch, &mut out);
-        model.infer_with_plan_timed(
+        model.infer_with_plan_batched_timed(
             &plan,
             &graph.input,
+            1,
             &mut scratch,
             &mut timed_out,
             &mut timings,
@@ -1476,9 +1368,10 @@ mod tests {
         let mut timed_out = vec![0.0; graph.num_nodes()];
         let mut timings = crate::plan::InferenceTimings::default();
         model.infer_with_plan_q_into(&plan, &graph.input, &mut scratch, &mut out);
-        model.infer_with_plan_q_timed(
+        model.infer_with_plan_q_batched_timed(
             &plan,
             &graph.input,
+            1,
             &mut scratch,
             &mut timed_out,
             &mut timings,

@@ -24,6 +24,12 @@
 //! edge structure is copied in destination-sorted order (see
 //! [`LocalGraph::edge_ptr`]), so message aggregation in the planned forward
 //! pass is a contiguous per-node gather.
+//!
+//! Each precision has **one** forward pass, over a column-interleaved panel
+//! of `b` right-hand sides (`input[j*b + c]` is column `c` at node `j`):
+//! every plan stream is read once per batch.  A single right-hand side is
+//! that pass at `b = 1`, where the panel is the plain vector and the GEMMs,
+//! edge sweep and Ψ initialisation take their row-major kernels.
 
 use std::time::Instant;
 
@@ -405,7 +411,8 @@ struct DecoderF32 {
 ///
 /// Mirrors [`InferScratch`]: create once, pass to every call; buffers are
 /// sized lazily and reused.  Contents are fully overwritten per inference.
-/// The direction-fused buffers (`a_dst`, `a_src`, `hsum`) are `n × 2d`.
+/// Buffers are column-interleaved panels of `b` right-hand sides; the
+/// direction-fused ones (`a_dst`, `a_src`, `hsum`) are `n × 2d × b`.
 #[derive(Debug, Default)]
 pub struct InferScratchF32 {
     input: Vec<f32>,
@@ -440,9 +447,13 @@ fn relu_sum3_acc_f32(acc: &mut [f32], g: &[f32], adj: &[f32], asj: &[f32]) {
 /// Batched fused edge-sweep body: `acc`, `adj` and `asj` are `2d × b`
 /// column-interleaved panels, `g` the shared `2d` static row — loaded once
 /// per edge and broadcast over the `b` right-hand sides.  Per column the
-/// operation sequence equals [`relu_sum3_acc_f32`] exactly.
+/// operation sequence equals [`relu_sum3_acc_f32`] exactly; at `b = 1` the
+/// panels are plain rows and that contiguous body runs directly.
 #[inline(always)]
 fn relu_sum3_acc_f32_b(acc: &mut [f32], g: &[f32], adj: &[f32], asj: &[f32], b: usize) {
+    if b == 1 {
+        return relu_sum3_acc_f32(acc, g, adj, asj);
+    }
     let db = acc.len();
     let (adj, asj) = (&adj[..db], &asj[..db]);
     for (k, &gk) in g.iter().enumerate() {
@@ -534,125 +545,13 @@ impl InferencePlanF32 {
             + std::mem::size_of::<usize>() * self.edge_ptr.len()
     }
 
-    /// Run the single-precision engine: `input` (the normalised residual) is
-    /// converted to f32 on entry, the decoded output is widened back into
-    /// `out`.  All intermediates live in `scratch`; the steady state
-    /// allocates nothing.
+    /// Run the single-precision engine on one right-hand side: `input` (the
+    /// normalised residual) is converted to f32 on entry, the decoded output
+    /// is widened back into `out`.  All intermediates live in `scratch`; the
+    /// steady state allocates nothing.  This is
+    /// [`InferencePlanF32::infer_into_b`] at `b = 1`.
     pub fn infer_into(&self, input: &[f64], scratch: &mut InferScratchF32, out: &mut [f64]) {
-        self.infer_core(input, scratch, out, None);
-    }
-
-    /// [`InferencePlanF32::infer_into`] with a per-stage wall-clock breakdown
-    /// accumulated into `timings`.
-    pub fn infer_timed(
-        &self,
-        input: &[f64],
-        scratch: &mut InferScratchF32,
-        out: &mut [f64],
-        timings: &mut InferenceTimings,
-    ) {
-        self.infer_core(input, scratch, out, Some(timings));
-    }
-
-    fn infer_core(
-        &self,
-        input: &[f64],
-        scratch: &mut InferScratchF32,
-        out: &mut [f64],
-        mut timings: Option<&mut InferenceTimings>,
-    ) {
-        let d = self.latent_dim;
-        let n = self.num_nodes;
-        assert_eq!(input.len(), n, "input length mismatch");
-        assert_eq!(out.len(), n, "output length mismatch");
-
-        let InferScratchF32 { input: input32, h, a_dst, a_src, hsum, psi_hidden, update, hidden } =
-            scratch;
-        input32.clear();
-        input32.extend(input.iter().map(|&v| v as f32));
-        h.clear();
-        h.resize(n * d, 0.0);
-        let d2 = 2 * d;
-        a_dst.resize(n * d2, 0.0);
-        a_src.resize(n * d2, 0.0);
-        hsum.resize(n * d2, 0.0);
-        psi_hidden.resize(n * d, 0.0);
-        update.resize(n * d, 0.0);
-        hidden.resize(n * d, 0.0);
-
-        let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-        macro_rules! tick {
-            ($field:ident) => {
-                if let Some(t) = timings.as_deref_mut() {
-                    let now = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-                    t.$field += now.duration_since(last).as_nanos() as u64;
-                    last = now;
-                }
-            };
-        }
-
-        for pb in &self.blocks {
-            // Node-level GEMMs, both message directions at once (`n × 2d`).
-            gemm::gemm_t_into_f32(h, n, d, d2, &pb.w_dst_cat_t, a_dst);
-            gemm::gemm_t_into_f32(h, n, d, d2, &pb.w_src_cat_t, a_src);
-            tick!(node_gemm_ns);
-            // Fused edge sweep over both directions: one pass, `2d`-wide rows.
-            for j in 0..n {
-                let adj = &a_dst[j * d2..(j + 1) * d2];
-                let acc = &mut hsum[j * d2..(j + 1) * d2];
-                acc.fill(0.0);
-                for slot in self.edge_ptr[j]..self.edge_ptr[j + 1] {
-                    let src = self.edge_src[slot] as usize;
-                    relu_sum3_acc_f32(
-                        acc,
-                        &pb.geo_cat[slot * d2..(slot + 1) * d2],
-                        adj,
-                        &a_src[src * d2..(src + 1) * d2],
-                    );
-                }
-            }
-            tick!(edge_gather_ns);
-            for j in 0..n {
-                let c = input32[j];
-                let stat = &pb.psi_static[j * d..(j + 1) * d];
-                let row = &mut psi_hidden[j * d..(j + 1) * d];
-                for k in 0..d {
-                    row[k] = stat[k] + pb.psi_w_c[k] * c;
-                }
-            }
-            gemm::gemm_t_acc_into_f32(h, n, d, d, &pb.psi_w_h_t, psi_hidden);
-            gemm::gemm_t_acc_into_f32(hsum, n, d2, d, &pb.psi_m_cat_t, psi_hidden);
-            for v in psi_hidden.iter_mut() {
-                *v = v.max(0.0);
-            }
-            gemm::gemm_t_bias_into_f32(psi_hidden, n, d, d, &pb.psi_l2_wt, &pb.psi_l2_b, update);
-            for (hv, uv) in h.iter_mut().zip(update.iter()) {
-                *hv += self.alpha * *uv;
-            }
-            tick!(psi_update_ns);
-        }
-        match &self.decoder {
-            Some(dec) => {
-                gemm::gemm_t_bias_into_f32(h, n, d, d, &dec.l1_wt, &dec.l1_b, hidden);
-                for v in hidden.iter_mut() {
-                    *v = v.max(0.0);
-                }
-                for j in 0..n {
-                    let row = &hidden[j * d..(j + 1) * d];
-                    let mut acc = dec.l2_b;
-                    for k in 0..d {
-                        acc += dec.l2_w[k] * row[k];
-                    }
-                    out[j] = acc as f64;
-                }
-            }
-            None => out.fill(0.0),
-        }
-        tick!(decoder_ns);
-        let _ = last; // the final tick's stamp is intentionally unused
-        if let Some(t) = timings {
-            t.calls += 1;
-        }
+        self.infer_into_b(input, 1, scratch, out);
     }
 
     /// Batched forward pass over `b` right-hand sides: `input` and `out` are
@@ -750,6 +649,13 @@ impl InferencePlanF32 {
                 let cin = &input32[j * b..(j + 1) * b];
                 let stat = &pb.psi_static[j * d..(j + 1) * d];
                 let row = &mut psi_hidden[j * d * b..(j + 1) * d * b];
+                if b == 1 {
+                    // Contiguous `d`-wide row body (vectorises).
+                    for k in 0..d {
+                        row[k] = stat[k] + pb.psi_w_c[k] * cin[0];
+                    }
+                    continue;
+                }
                 for k in 0..d {
                     let s = stat[k];
                     let wc = pb.psi_w_c[k];
@@ -956,18 +862,18 @@ impl PlanBlockQ {
 /// Reusable buffers for the quantised inference path ([`InferencePlanQ`]).
 ///
 /// Mirrors [`InferScratchF32`], with two differences: the per-node hidden
-/// sums are *stored* bf16 (`n × 2d` `u16`s — halving the read traffic of the
-/// Ψ message GEMM) and a single `2d`-wide f32 row (`acc`) accumulates each
-/// node's edge sweep before it is rounded to bf16 once.
+/// sums are *stored* bf16 (`n × 2d × b` `u16`s — halving the read traffic of
+/// the Ψ message GEMM) and a single `2d × b` f32 panel row (`acc`)
+/// accumulates each node's edge sweep before it is rounded to bf16 once.
 #[derive(Debug, Default)]
 pub struct InferScratchQ {
     input: Vec<f32>,
     h: Vec<f32>,
     a_dst: Vec<f32>,
     a_src: Vec<f32>,
-    /// Per-node hidden sums, bf16-packed (`n × 2d`).
+    /// Per-node hidden sums, bf16-packed (`n × 2d × b`).
     hsum: Vec<u16>,
-    /// f32 accumulator row for one node's edge sweep (`2d`).
+    /// f32 accumulator row for one node's edge sweep (`2d × b`).
     acc: Vec<f32>,
     /// Widened-weight panel of the int8 GEMM kernels (`≤ 2d × 2d`).
     wbuf: Vec<f32>,
@@ -995,11 +901,14 @@ fn relu_sum3_acc_bf16_geo(acc: &mut [f32], g: &[u16], adj: &[f32], asj: &[f32]) 
 }
 
 /// Batched bf16 edge-sweep body: the static term is **decoded once per edge**
-/// and broadcast across the `b` columns (the unbatched path decodes it once
-/// per (edge, rhs)).  Per column the operation sequence equals
-/// [`relu_sum3_acc_bf16_geo`] exactly.
+/// and broadcast across the `b` columns.  Per column the operation sequence
+/// equals [`relu_sum3_acc_bf16_geo`] exactly; at `b = 1` that contiguous body
+/// runs directly.
 #[inline(always)]
 fn relu_sum3_acc_bf16_geo_b(acc: &mut [f32], g: &[u16], adj: &[f32], asj: &[f32], b: usize) {
+    if b == 1 {
+        return relu_sum3_acc_bf16_geo(acc, g, adj, asj);
+    }
     let db = acc.len();
     let (adj, asj) = (&adj[..db], &asj[..db]);
     for (k, &gq) in g.iter().enumerate() {
@@ -1098,158 +1007,13 @@ impl InferencePlanQ {
             + std::mem::size_of::<usize>() * self.edge_ptr.len()
     }
 
-    /// Run the quantised engine: `input` (the normalised residual) is
-    /// converted to f32 on entry, the decoded output is widened back into
-    /// `out`.  All intermediates live in `scratch`; the steady state
-    /// allocates nothing.
+    /// Run the quantised engine on one right-hand side: `input` (the
+    /// normalised residual) is converted to f32 on entry, the decoded output
+    /// is widened back into `out`.  All intermediates live in `scratch`; the
+    /// steady state allocates nothing.  This is
+    /// [`InferencePlanQ::infer_into_b`] at `b = 1`.
     pub fn infer_into(&self, input: &[f64], scratch: &mut InferScratchQ, out: &mut [f64]) {
-        self.infer_core(input, scratch, out, None);
-    }
-
-    /// [`InferencePlanQ::infer_into`] with a per-stage wall-clock breakdown
-    /// accumulated into `timings`.
-    pub fn infer_timed(
-        &self,
-        input: &[f64],
-        scratch: &mut InferScratchQ,
-        out: &mut [f64],
-        timings: &mut InferenceTimings,
-    ) {
-        self.infer_core(input, scratch, out, Some(timings));
-    }
-
-    fn infer_core(
-        &self,
-        input: &[f64],
-        scratch: &mut InferScratchQ,
-        out: &mut [f64],
-        mut timings: Option<&mut InferenceTimings>,
-    ) {
-        let d = self.latent_dim;
-        let n = self.num_nodes;
-        assert_eq!(input.len(), n, "input length mismatch");
-        assert_eq!(out.len(), n, "output length mismatch");
-
-        let InferScratchQ {
-            input: input32,
-            h,
-            a_dst,
-            a_src,
-            hsum,
-            acc,
-            wbuf,
-            psi_hidden,
-            update,
-            hidden,
-        } = scratch;
-        input32.clear();
-        input32.extend(input.iter().map(|&v| v as f32));
-        h.clear();
-        h.resize(n * d, 0.0);
-        let d2 = 2 * d;
-        a_dst.resize(n * d2, 0.0);
-        a_src.resize(n * d2, 0.0);
-        hsum.resize(n * d2, 0);
-        acc.resize(d2, 0.0);
-        psi_hidden.resize(n * d, 0.0);
-        update.resize(n * d, 0.0);
-        hidden.resize(n * d, 0.0);
-
-        let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-        macro_rules! tick {
-            ($field:ident) => {
-                if let Some(t) = timings.as_deref_mut() {
-                    let now = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-                    t.$field += now.duration_since(last).as_nanos() as u64;
-                    last = now;
-                }
-            };
-        }
-
-        for pb in &self.blocks {
-            // Node-level int8 GEMMs, both message directions at once
-            // (`n × 2d`): the weights dequantise inside the kernel, the
-            // outputs land in f32.
-            gemm::gemm_t_into_i8(h, n, d, d2, &pb.w_dst_cat_q, &pb.w_dst_cat_scale, wbuf, a_dst);
-            gemm::gemm_t_into_i8(h, n, d, d2, &pb.w_src_cat_q, &pb.w_src_cat_scale, wbuf, a_src);
-            tick!(node_gemm_ns);
-            // Fused edge sweep: bf16 static terms decoded on the fly, f32
-            // accumulation into one row, rounded to bf16 once per node.
-            for j in 0..n {
-                let adj = &a_dst[j * d2..(j + 1) * d2];
-                acc.fill(0.0);
-                for slot in self.edge_ptr[j]..self.edge_ptr[j + 1] {
-                    let src = self.edge_src[slot] as usize;
-                    relu_sum3_acc_bf16_geo(
-                        acc,
-                        &pb.geo_cat[slot * d2..(slot + 1) * d2],
-                        adj,
-                        &a_src[src * d2..(src + 1) * d2],
-                    );
-                }
-                gemm::store_bf16(acc, &mut hsum[j * d2..(j + 1) * d2]);
-            }
-            tick!(edge_gather_ns);
-            for j in 0..n {
-                let c = input32[j];
-                let stat = &pb.psi_static[j * d..(j + 1) * d];
-                let row = &mut psi_hidden[j * d..(j + 1) * d];
-                gemm::gather_bf16(stat, row);
-                for k in 0..d {
-                    row[k] += pb.psi_w_c[k] * c;
-                }
-            }
-            gemm::gemm_t_acc_into_i8(
-                h,
-                n,
-                d,
-                d,
-                &pb.psi_w_h_q,
-                &pb.psi_w_h_scale,
-                wbuf,
-                psi_hidden,
-            );
-            gemm::gemm_t_acc_into_i8_bf16(
-                hsum,
-                n,
-                d2,
-                d,
-                &pb.psi_m_cat_q,
-                &pb.psi_m_cat_scale,
-                wbuf,
-                psi_hidden,
-            );
-            for v in psi_hidden.iter_mut() {
-                *v = v.max(0.0);
-            }
-            gemm::gemm_t_bias_into_f32(psi_hidden, n, d, d, &pb.psi_l2_wt, &pb.psi_l2_b, update);
-            for (hv, uv) in h.iter_mut().zip(update.iter()) {
-                *hv += self.alpha * *uv;
-            }
-            tick!(psi_update_ns);
-        }
-        match &self.decoder {
-            Some(dec) => {
-                gemm::gemm_t_bias_into_f32(h, n, d, d, &dec.l1_wt, &dec.l1_b, hidden);
-                for v in hidden.iter_mut() {
-                    *v = v.max(0.0);
-                }
-                for j in 0..n {
-                    let row = &hidden[j * d..(j + 1) * d];
-                    let mut acc = dec.l2_b;
-                    for k in 0..d {
-                        acc += dec.l2_w[k] * row[k];
-                    }
-                    out[j] = acc as f64;
-                }
-            }
-            None => out.fill(0.0),
-        }
-        tick!(decoder_ns);
-        let _ = last; // the final tick's stamp is intentionally unused
-        if let Some(t) = timings {
-            t.calls += 1;
-        }
+        self.infer_into_b(input, 1, scratch, out);
     }
 
     /// Batched quantised forward pass over `b` right-hand sides: `input` and
@@ -1331,6 +1095,9 @@ impl InferencePlanQ {
 
         let d2b = d2 * b;
         for pb in &self.blocks {
+            // Node-level int8 GEMMs, both message directions at once, all b
+            // columns per weight load: the weights dequantise inside the
+            // kernel, the outputs land in f32.
             gemm::gemm_t_into_i8_b(
                 h,
                 n,
@@ -1377,6 +1144,13 @@ impl InferencePlanQ {
                 let cin = &input32[j * b..(j + 1) * b];
                 let stat = &pb.psi_static[j * d..(j + 1) * d];
                 let row = &mut psi_hidden[j * d * b..(j + 1) * d * b];
+                if b == 1 {
+                    // Contiguous `d`-wide row body (vectorises).
+                    for k in 0..d {
+                        row[k] = gemm::bf16_to_f32(stat[k]) + pb.psi_w_c[k] * cin[0];
+                    }
+                    continue;
+                }
                 for k in 0..d {
                     let s = gemm::bf16_to_f32(stat[k]);
                     let wc = pb.psi_w_c[k];
@@ -1455,7 +1229,8 @@ impl InferencePlanQ {
 
 /// Wall-clock breakdown of planned inference, one bucket per pipeline stage.
 ///
-/// Filled by [`DssModel::infer_with_plan_timed`]; buckets accumulate across
+/// Filled by [`DssModel::infer_with_plan_batched_timed`] and its f32/int8
+/// siblings (`b = 1` is a single right-hand side); buckets accumulate across
 /// calls so one struct can aggregate a whole preconditioner application (or
 /// several).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -1523,16 +1298,6 @@ impl InferenceTimings {
 ///   into poison-panics on every later pool operation.  The guarded state
 ///   (a list of interchangeable buffers plus counters) has no invariant a
 ///   mid-panic writer could break.
-///
-/// **Size classes.**  Borrows are keyed by a *size class* — in practice the
-/// batch width `b` of a batched inference, so an `n × 8` panel scratch and a
-/// `n × 1` scratch live in separate bins.  Without the split, one batched
-/// apply would permanently inflate every pooled buffer to `b×` the unbatched
-/// size (buffers only ever grow), and alternating widths would hand b=1
-/// borrowers panel-sized allocations while batched borrowers keep drawing
-/// cold buffers.  [`ScratchPool::acquire`]/[`ScratchPool::release`] are the
-/// width-1 shorthand used by the unbatched paths; the retention cap applies
-/// per class.
 #[derive(Debug)]
 pub struct ScratchPool<T = InferScratch> {
     state: TrackedMutex<PoolState<T>>,
@@ -1541,9 +1306,9 @@ pub struct ScratchPool<T = InferScratch> {
 impl<T> Default for ScratchPool<T> {
     fn default() -> Self {
         ScratchPool {
-            // Commutative: the bins hold *interchangeable* buffers, so which
-            // of two same-batch borrowers pops a given buffer first cannot
-            // affect any solver output (contents are overwritten on use).
+            // Commutative: the pool holds *interchangeable* buffers, so which
+            // of two borrowers pops a given buffer first cannot affect any
+            // solver output (contents are overwritten on use).
             state: TrackedMutex::new_commutative(
                 PoolState::default(),
                 "gnn::plan::ScratchPool::state",
@@ -1554,36 +1319,19 @@ impl<T> Default for ScratchPool<T> {
     }
 }
 
-/// Size class of the unbatched (single right-hand-side) borrows.
-const POOL_CLASS_UNBATCHED: usize = 1;
-
 #[derive(Debug)]
 struct PoolState<T> {
-    /// Idle buffers, binned by size class (few classes — linear scan).
-    bins: Vec<(usize, Vec<T>)>,
+    /// Idle buffers.
+    idle: Vec<T>,
     /// Buffers currently borrowed (acquired and not yet released).
     outstanding: usize,
-    /// Maximum `outstanding` ever observed — the per-class idle-retention cap.
+    /// Maximum `outstanding` ever observed — the idle-retention cap.
     high_water: usize,
 }
 
 impl<T> Default for PoolState<T> {
     fn default() -> Self {
-        PoolState { bins: Vec::new(), outstanding: 0, high_water: 0 }
-    }
-}
-
-impl<T> PoolState<T> {
-    fn bin_mut(&mut self, class: usize) -> &mut Vec<T> {
-        if let Some(pos) = self.bins.iter().position(|(c, _)| *c == class) {
-            &mut self.bins[pos].1
-        } else {
-            self.bins.push((class, Vec::new()));
-            match self.bins.last_mut() {
-                Some(last) => &mut last.1,
-                None => unreachable!("bins is non-empty: an entry was just pushed"),
-            }
-        }
+        PoolState { idle: Vec::new(), outstanding: 0, high_water: 0 }
     }
 }
 
@@ -1593,48 +1341,30 @@ impl<T: Default> ScratchPool<T> {
         ScratchPool::default()
     }
 
-    /// Take an unbatched (size class 1) scratch out of the pool.
+    /// Take a scratch out of the pool, or create a fresh one when the pool
+    /// is dry.
     pub fn acquire(&self) -> T {
-        self.acquire_class(POOL_CLASS_UNBATCHED)
-    }
-
-    /// Take a scratch of the given size class (batch width) out of the pool,
-    /// or create a fresh one when that class's bin is dry.  Borrows of other
-    /// classes are never handed out.
-    pub fn acquire_class(&self, class: usize) -> T {
         let mut st = self.state.lock();
         st.outstanding += 1;
         st.high_water = st.high_water.max(st.outstanding);
-        st.bin_mut(class).pop().unwrap_or_default()
+        st.idle.pop().unwrap_or_default()
     }
 
-    /// Return an unbatched scratch to the pool for reuse.
+    /// Return a scratch to the pool for reuse.  Buffers beyond the
+    /// high-water concurrent-borrow count are dropped.
     pub fn release(&self, scratch: T) {
-        self.release_class(POOL_CLASS_UNBATCHED, scratch);
-    }
-
-    /// Return a scratch to its size class's bin.  Buffers beyond the
-    /// high-water concurrent-borrow count (per class) are dropped.
-    pub fn release_class(&self, class: usize, scratch: T) {
         let mut st = self.state.lock();
         // Saturating: a panicked worker may never have reported its release,
         // and foreign buffers can legitimately be donated to the pool.
         st.outstanding = st.outstanding.saturating_sub(1);
-        let cap = st.high_water;
-        let bin = st.bin_mut(class);
-        if bin.len() < cap {
-            bin.push(scratch);
+        if st.idle.len() < st.high_water {
+            st.idle.push(scratch);
         }
     }
 
-    /// Number of idle buffers currently pooled, across all size classes.
+    /// Number of idle buffers currently pooled.
     pub fn idle(&self) -> usize {
-        self.state.lock().bins.iter().map(|(_, bin)| bin.len()).sum()
-    }
-
-    /// Number of idle buffers pooled for one size class.
-    pub fn idle_class(&self, class: usize) -> usize {
-        self.state.lock().bins.iter().find(|(c, _)| *c == class).map_or(0, |(_, bin)| bin.len())
+        self.state.lock().idle.len()
     }
 
     /// Drop every idle buffer and reset the idle-retention cap, releasing
@@ -1643,7 +1373,7 @@ impl<T: Default> ScratchPool<T> {
     /// demand.
     pub fn clear(&self) {
         let mut st = self.state.lock();
-        st.bins.clear();
+        st.idle.clear();
         st.high_water = st.outstanding;
     }
 }
@@ -1737,42 +1467,6 @@ mod tests {
         // outstanding is 0; release must not underflow and (with no borrow
         // history) must not retain the buffer.
         pool.release(InferScratch::new());
-        assert_eq!(pool.idle(), 0);
-    }
-
-    #[test]
-    fn pool_keeps_batched_and_unbatched_borrows_in_separate_bins() {
-        // Alternating b=1 / b=8 borrows: each width must recycle its own
-        // buffer, the b=1 bin must never be handed a panel-sized buffer and
-        // the pool must not accumulate one buffer per alternation.
-        let pool: ScratchPool<Vec<f64>> = ScratchPool::new();
-        let mut big = pool.acquire_class(8);
-        assert!(big.capacity() == 0, "first batched borrow starts cold");
-        big.resize(8 * 1024, 0.0);
-        let big_ptr = big.as_ptr();
-        pool.release_class(8, big);
-
-        let mut small = pool.acquire();
-        assert_eq!(small.capacity(), 0, "a b=1 borrow must not receive the n×8 panel buffer");
-        small.resize(1024, 0.0);
-        pool.release(small);
-
-        let big = pool.acquire_class(8);
-        assert_eq!(big.as_ptr(), big_ptr, "the batched borrow recycles the batched buffer");
-        assert!(big.capacity() >= 8 * 1024);
-        pool.release_class(8, big);
-
-        for _ in 0..16 {
-            let s = pool.acquire();
-            pool.release(s);
-            let s8 = pool.acquire_class(8);
-            pool.release_class(8, s8);
-        }
-        assert_eq!(pool.idle_class(1), 1, "sequential b=1 borrows keep one idle buffer");
-        assert_eq!(pool.idle_class(8), 1, "sequential b=8 borrows keep one idle buffer");
-        assert_eq!(pool.idle(), 2, "alternating widths must not inflate the pool");
-
-        pool.clear();
         assert_eq!(pool.idle(), 0);
     }
 }

@@ -35,8 +35,10 @@ pub struct Config {
 /// History: 16 when the scan excluded `shims/`; 18 once the shims entered
 /// the scan scope (two reviewed `mutex-poison` allows on the worker pool's
 /// batch latch, where propagating a poison panic beats waiting forever on
-/// corrupted completion accounting).
-pub const EXPECTED_WORKSPACE_ALLOWS: usize = 18;
+/// corrupted completion accounting); 12 once the single-right-hand-side
+/// inference became the batched forward pass at `b = 1` (the three deleted
+/// unbatched cores carried two `nondet-clock` telemetry allows each).
+pub const EXPECTED_WORKSPACE_ALLOWS: usize = 12;
 
 impl Default for Config {
     fn default() -> Self {
