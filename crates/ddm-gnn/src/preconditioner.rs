@@ -94,7 +94,7 @@ pub struct DdmGnnPreconditioner {
     apply_guard: TrackedMutex<()>,
     num_global: usize,
     /// Reported by `Preconditioner::name` ("ddm-gnn-{1,2}level[-f32|-int8]"
-    /// or "ddm-gnn-ml<levels>[-f32|-int8]").
+    /// or `"ddm-gnn-ml<levels>[-f32|-int8]"`).
     name: String,
     /// Number of `apply` calls so far (≈ the outer iteration index).
     applies: AtomicU64,
@@ -392,48 +392,11 @@ impl DdmGnnPreconditioner {
         if !any_live {
             return;
         }
-        match (&self.plans, timings) {
-            (PlanSet::F64(plans), Some(t)) => self.model.infer_with_plan_batched_timed(
-                &plans[i],
-                local_rb,
-                b,
-                infer,
-                correction_b,
-                t,
-            ),
-            (PlanSet::F64(plans), None) => {
-                self.model.infer_with_plan_batched_into(&plans[i], local_rb, b, infer, correction_b)
-            }
-            (PlanSet::F32(plans), Some(t)) => self.model.infer_with_plan_f32_batched_timed(
-                &plans[i],
-                local_rb,
-                b,
-                infer32,
-                correction_b,
-                t,
-            ),
-            (PlanSet::F32(plans), None) => self.model.infer_with_plan_f32_batched_into(
-                &plans[i],
-                local_rb,
-                b,
-                infer32,
-                correction_b,
-            ),
-            (PlanSet::Int8(plans), Some(t)) => self.model.infer_with_plan_q_batched_timed(
-                &plans[i],
-                local_rb,
-                b,
-                inferq,
-                correction_b,
-                t,
-            ),
-            (PlanSet::Int8(plans), None) => self.model.infer_with_plan_q_batched_into(
-                &plans[i],
-                local_rb,
-                b,
-                inferq,
-                correction_b,
-            ),
+        let (m, x, y) = (&self.model, &local_rb[..], &mut correction_b[..]);
+        match &self.plans {
+            PlanSet::F64(plans) => m.infer_plan(&plans[i], x, b, infer, y, timings),
+            PlanSet::F32(plans) => m.infer_plan(&plans[i], x, b, infer32, y, timings),
+            PlanSet::Int8(plans) => m.infer_plan(&plans[i], x, b, inferq, y, timings),
         }
     }
 

@@ -291,7 +291,7 @@ pub fn solve_ddm_gnn_with_precision(
     })
 }
 
-/// Result of a multi-right-hand-side DDM-GNN solve: one [`SolveResult`] per
+/// Result of a multi-right-hand-side DDM-GNN solve: one [`krylov::SolveResult`] per
 /// column plus the shared timing breakdown (setup and preconditioner time are
 /// amortised across the whole batch, so they are reported once).
 #[derive(Debug, Clone)]

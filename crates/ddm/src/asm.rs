@@ -137,7 +137,7 @@ pub struct AdditiveSchwarz {
     apply_guard: TrackedMutex<()>,
     num_global: usize,
     /// Reported by `Preconditioner::name` ("ddm-lu-1level", "ddm-lu-2level"
-    /// or "ddm-lu-ml<levels>").
+    /// or `"ddm-lu-ml<levels>"`).
     name: String,
     /// Number of `apply` calls so far (≈ the outer iteration index).
     applies: AtomicU64,

@@ -91,7 +91,7 @@ pub fn save_model(path: &Path, model: &DssModel) -> io::Result<()> {
 /// Load a model previously written by [`save_model`].
 ///
 /// The loader is hardened against corrupted or hostile files: header
-/// dimensions are bounded ([`MAX_DIM`] each, [`MAX_PARAMS`] implied weights)
+/// dimensions are bounded (`MAX_DIM` each, `MAX_PARAMS` implied weights)
 /// and `alpha` must be finite and positive **before** anything is allocated,
 /// every parameter value must parse *and* be finite (Rust's float parser
 /// happily accepts `NaN` and `inf`, which would silently poison every

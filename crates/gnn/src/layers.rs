@@ -60,24 +60,6 @@ impl Linear {
         crate::gemm::gemm_bias_into(x, n, self.in_dim, self.out_dim, &self.weight, &self.bias, y);
     }
 
-    /// Batched forward pass over a column-interleaved `n × in_dim × b` panel
-    /// of `b` independent inputs.  Column `c` of the output panel is
-    /// bit-identical to [`Linear::forward_into`] run on column `c` alone.
-    pub fn forward_into_b(&self, x: &[f64], n: usize, b: usize, y: &mut [f64]) {
-        debug_assert_eq!(x.len(), n * self.in_dim * b);
-        debug_assert_eq!(y.len(), n * self.out_dim * b);
-        crate::gemm::gemm_bias_into_b(
-            x,
-            n,
-            self.in_dim,
-            self.out_dim,
-            b,
-            &self.weight,
-            &self.bias,
-            y,
-        );
-    }
-
     /// Backward pass: given the forward input `x` and `dL/dy`, accumulate
     /// parameter gradients into `grad` and return `dL/dx`.
     pub fn backward(&self, x: &[f64], dy: &[f64], n: usize, grad: &mut Linear) -> Vec<f64> {
@@ -105,24 +87,6 @@ impl Linear {
             }
         }
         dx
-    }
-
-    /// The weight transposed into the `in_dim × out_dim` layout consumed by
-    /// the single-precision inference kernels (one contiguous row of output
-    /// weights per input feature), cast to f32.
-    pub fn weight_t_f32(&self) -> Vec<f32> {
-        let mut wt = vec![0.0f32; self.in_dim * self.out_dim];
-        for o in 0..self.out_dim {
-            for i in 0..self.in_dim {
-                wt[i * self.out_dim + o] = self.weight[o * self.in_dim + i] as f32;
-            }
-        }
-        wt
-    }
-
-    /// The bias cast to f32.
-    pub fn bias_f32(&self) -> Vec<f32> {
-        self.bias.iter().map(|&b| b as f32).collect()
     }
 
     /// Append all parameters to a flat vector (weights then bias).
@@ -215,24 +179,6 @@ impl Mlp {
             *h = h.max(0.0);
         }
         self.l2.forward_into(hidden, n, y);
-    }
-
-    /// Batched forward pass over a column-interleaved panel of `b` inputs;
-    /// per-column bit-identical to [`Mlp::forward_into`].
-    pub fn forward_into_b(
-        &self,
-        x: &[f64],
-        n: usize,
-        b: usize,
-        hidden: &mut Vec<f64>,
-        y: &mut [f64],
-    ) {
-        hidden.resize(n * self.l1.out_dim * b, 0.0);
-        self.l1.forward_into_b(x, n, b, hidden);
-        for h in hidden.iter_mut() {
-            *h = h.max(0.0);
-        }
-        self.l2.forward_into_b(hidden, n, b, y);
     }
 
     /// Forward pass that also returns the cache needed for backprop.

@@ -4,18 +4,17 @@
 //! The paper trains its DSS model with PyTorch-Geometric on GPUs; no such
 //! stack exists for Rust, so this crate implements the full pipeline natively:
 //!
-//! * [`gemm`] — register-blocked batch GEMM micro-kernels with a strict
-//!   per-element accumulation-order (bit-identity) contract, plus explicit
-//!   8-lane f32 kernels over transposed weights for the single-precision
-//!   inference engine (enable the `portable-simd` feature on nightly to use
-//!   `std::simd` instead of the autovectorised manual lanes), plus int8
-//!   weight kernels (per-output f32 scales, f32 accumulators) and hand-rolled
-//!   bf16 encode/decode for the quantised engine,
+//! * [`gemm`] — register-blocked GEMM micro-kernels with a strict
+//!   per-element accumulation-order (bit-identity) contract: the row-major
+//!   core of training, and one transposed kernel family for inference,
+//!   generic over f64/f32 scalars, bf16-packed activations and int8's
+//!   per-output-scale epilogue, plus hand-rolled bf16 encode/decode,
 //! * [`layers`] — linear layers and two-layer MLPs with exact reverse-mode
 //!   gradients (validated against finite differences in the test-suite),
-//! * [`plan`] — per-graph inference plans: split first-layer weights,
-//!   precomputed static edge terms and destination-sorted incidence that
-//!   power the fast inference engine,
+//! * [`plan`] — per-graph inference plans ([`plan::Plan`]): split
+//!   first-layer weights, precomputed static edge terms and
+//!   destination-sorted incidence, and the one planned forward pass; f64,
+//!   f32 and int8 are storage choices of the same plan type,
 //! * [`graph`] — the [`graph::LocalGraph`] representation of one sub-domain
 //!   problem: geometric edge features `(d_jl, ‖d_jl‖)`, normalised residual
 //!   input `c`, boundary mask and the local operator used by the loss,
@@ -35,8 +34,6 @@
 //! The architecture hyper-parameters reproduce the paper's weight counts
 //! exactly (e.g. `k̄ = 30, d = 10` → 37 530 weights, Table II).
 
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
-
 pub mod adam;
 pub mod dataset;
 pub mod gemm;
@@ -51,9 +48,9 @@ pub mod trainer;
 pub use adam::{Adam, AdamConfig};
 pub use dataset::{extract_local_problems, DatasetConfig, TrainingSample};
 pub use graph::LocalGraph;
-pub use model::{BatchPools, DssConfig, DssModel, InferScratch};
+pub use model::{BatchPools, DssConfig, DssModel};
 pub use plan::{
-    InferScratchF32, InferScratchQ, InferencePlan, InferencePlanF32, InferencePlanQ,
-    InferenceTimings, Precision, ScratchPool,
+    InferScratch, InferScratchF32, InferScratchQ, InferencePlan, InferencePlanF32, InferencePlanQ,
+    InferenceTimings, Plan, PlanPrecision, Precision, Scratch, ScratchPool,
 };
 pub use trainer::{evaluate, train, EvalMetrics, TrainingConfig, TrainingReport};

@@ -19,19 +19,17 @@
 //! latent state per block.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
-use crate::gemm;
 use crate::graph::LocalGraph;
 use crate::layers::Mlp;
 use crate::loss::residual_loss_and_grad;
 use crate::plan::{
-    InferScratchF32, InferScratchQ, InferencePlan, InferencePlanF32, InferencePlanQ,
-    InferenceTimings, ScratchPool,
+    InferScratch, InferScratchF32, InferScratchQ, InferencePlan, InferencePlanF32, InferencePlanQ,
+    InferenceTimings, Plan, PlanPrecision, Scratch, ScratchPool,
 };
 
 /// Hyper-parameters of the DSS model.
@@ -94,43 +92,6 @@ impl Block {
             + self.phi_bwd.num_params()
             + self.psi.num_params()
             + self.decoder.num_params()
-    }
-}
-
-/// Reusable buffers for the planned inference path
-/// ([`DssModel::infer_with_plan_into`] and friends).
-///
-/// Create once (cheap, everything starts empty), pass to every inference
-/// call; buffers are sized lazily to the largest graph and batch width seen
-/// and reused afterwards.  Every buffer is a column-interleaved panel of
-/// `b` right-hand sides (`n × d × b`; at `b = 1` a plain row-major matrix).
-/// Holding one scratch per sub-domain keeps the preconditioner's hot path
-/// allocation-free without any sharing between threads; batched inference
-/// recycles them through a [`ScratchPool`].
-#[derive(Debug, Default)]
-pub struct InferScratch {
-    /// Latent state `H` (`n × d × b`).
-    h: Vec<f64>,
-    /// Node-level destination term `H W_dstᵀ`.
-    a_dst: Vec<f64>,
-    /// Node-level source term `H W_srcᵀ`.
-    a_src: Vec<f64>,
-    /// Per-node sum of ReLU'd forward-message hidden activations.
-    hsum_fwd: Vec<f64>,
-    /// Per-node sum of ReLU'd backward-message hidden activations.
-    hsum_bwd: Vec<f64>,
-    /// Ψ pre-activation / hidden activation.
-    psi_hidden: Vec<f64>,
-    /// Ψ output.
-    update: Vec<f64>,
-    /// Decoder hidden-activation buffer.
-    hidden: Vec<f64>,
-}
-
-impl InferScratch {
-    /// Empty scratch; buffers are allocated on first use.
-    pub fn new() -> Self {
-        InferScratch::default()
     }
 }
 
@@ -300,7 +261,7 @@ impl DssModel {
     /// This is the semantics the optimised plan path is tested against — the
     /// proptest suite keeps [`DssModel::infer_with_input`] within 1e-12
     /// relative error of this implementation — and it shares
-    /// [`DssModel::block_forward_with_input`] with the training loss and
+    /// `DssModel::block_forward_with_input` with the training loss and
     /// backward pass, so gradient checks pin the same numerics.
     pub fn infer_reference(&self, graph: &LocalGraph, input: &[f64]) -> Vec<f64> {
         let n = graph.num_nodes();
@@ -315,68 +276,22 @@ impl DssModel {
     }
 
     /// Build the inference plan of this model for one graph (the setup half
-    /// of the setup/apply split — see [`InferencePlan`]).
+    /// of the setup/apply split — see [`Plan`]).
     pub fn build_plan(&self, graph: &LocalGraph) -> InferencePlan {
-        InferencePlan::new(self, graph)
+        Plan::new(self, graph)
     }
 
     /// Build the *single-precision* inference plan of this model for one
-    /// graph (see [`InferencePlanF32`]).  The splits and compositions are
-    /// computed in f64 and rounded once; the forward pass then runs entirely
-    /// in f32 with the residual converted on entry and the output widened
-    /// back to f64.
+    /// graph: splits and compositions computed in f64 and rounded once.
     pub fn build_plan_f32(&self, graph: &LocalGraph) -> InferencePlanF32 {
-        InferencePlanF32::new(self, graph)
+        Plan::new(self, graph)
     }
 
-    /// Run the single-precision engine on a prebuilt f32 plan — the f32
-    /// sibling of [`DssModel::infer_with_plan_into`] (the batched pass at
-    /// `b = 1`).
-    pub fn infer_with_plan_f32_into(
-        &self,
-        plan: &InferencePlanF32,
-        input: &[f64],
-        scratch: &mut InferScratchF32,
-        out: &mut [f64],
-    ) {
-        self.infer_with_plan_f32_batched_into(plan, input, 1, scratch, out);
-    }
-
-    fn check_plan_f32(&self, plan: &InferencePlanF32) {
-        assert_eq!(
-            plan.latent_dim, self.config.latent_dim,
-            "plan built for a different latent dimension"
-        );
-        assert_eq!(plan.num_blocks, self.blocks.len(), "plan built for a different model depth");
-    }
-
-    /// Build the **quantised** inference plan of this model for one graph
-    /// (see [`InferencePlanQ`]): int8 weights with per-output f32 scales,
-    /// bf16 static edge terms and hidden sums, f32 accumulators.  The splits
-    /// and compositions are computed in f64 and quantised once; the forward
-    /// pass converts the residual on entry and widens the output back to f64.
+    /// Build the **quantised** inference plan of this model for one graph:
+    /// int8 weights with per-output f32 scales, bf16 static edge terms and
+    /// hidden sums, f32 accumulators.
     pub fn build_plan_q(&self, graph: &LocalGraph) -> InferencePlanQ {
-        InferencePlanQ::new(self, graph)
-    }
-
-    /// Run the quantised engine on a prebuilt plan — the int8/bf16 sibling of
-    /// [`DssModel::infer_with_plan_into`] (the batched pass at `b = 1`).
-    pub fn infer_with_plan_q_into(
-        &self,
-        plan: &InferencePlanQ,
-        input: &[f64],
-        scratch: &mut InferScratchQ,
-        out: &mut [f64],
-    ) {
-        self.infer_with_plan_q_batched_into(plan, input, 1, scratch, out);
-    }
-
-    fn check_plan_q(&self, plan: &InferencePlanQ) {
-        assert_eq!(
-            plan.latent_dim, self.config.latent_dim,
-            "plan built for a different latent dimension"
-        );
-        assert_eq!(plan.num_blocks, self.blocks.len(), "plan built for a different model depth");
+        Plan::new(self, graph)
     }
 
     /// Convenience inference without a prebuilt plan: builds a throwaway
@@ -396,15 +311,32 @@ impl DssModel {
         self.infer_with_plan_into(&plan, input, scratch, out);
     }
 
-    /// The optimised inference engine on one right-hand side: split-weight
-    /// node-level GEMMs, precomputed static edge terms, contiguous message
-    /// aggregation.  This is [`DssModel::infer_with_plan_batched_into`] at
-    /// `b = 1`, where the column-interleaved panel is the plain vector.
-    ///
-    /// All intermediates live in `scratch` (sized on first use, reused across
-    /// calls), so the steady state performs zero heap allocation.  Only the
-    /// final block's decoder runs — earlier decodes are training-time
-    /// artefacts that do not influence the latent state.
+    /// The planned forward pass at any precision, over a column-interleaved
+    /// `n × b` panel (`input[j*b + c]` is column `c`'s value at node `j`;
+    /// `b = 1` is a single right-hand side).  Every plan stream is read once
+    /// per batch, and column `c` of the output is **bit-identical** to the
+    /// pass run on that column alone, for every batch width.  All
+    /// intermediates live in `scratch`, so the steady state allocates
+    /// nothing.  With `timings`, a per-stage wall-clock breakdown is
+    /// accumulated into it.
+    pub fn infer_plan<P: PlanPrecision>(
+        &self,
+        plan: &Plan<P>,
+        input: &[f64],
+        b: usize,
+        scratch: &mut Scratch<P>,
+        out: &mut [f64],
+        timings: Option<&mut InferenceTimings>,
+    ) {
+        assert_eq!(
+            plan.latent_dim, self.config.latent_dim,
+            "plan built for a different latent dimension"
+        );
+        assert_eq!(plan.num_blocks, self.blocks.len(), "plan built for a different model depth");
+        plan.infer_core_b(input, b, scratch, out, timings);
+    }
+
+    /// [`DssModel::infer_plan`] on one right-hand side, f64 engine.
     pub fn infer_with_plan_into(
         &self,
         plan: &InferencePlan,
@@ -412,17 +344,10 @@ impl DssModel {
         scratch: &mut InferScratch,
         out: &mut [f64],
     ) {
-        self.infer_with_plan_batched_into(plan, input, 1, scratch, out);
+        self.infer_plan(plan, input, 1, scratch, out, None);
     }
 
-    /// Batched planned inference: run the f64 engine on `b` right-hand sides
-    /// at once.  `input` and `out` are **column-interleaved `n × b` panels**
-    /// (`input[j*b + c]` is column `c`'s value at node `j`).  Every plan
-    /// stream — weights, static geo terms, Ψ statics — is read once per batch
-    /// instead of once per right-hand side, which is where the bandwidth
-    /// amortisation comes from; column `c` of the output is **bit-identical**
-    /// to [`DssModel::infer_with_plan_into`] run on that column alone, for
-    /// every batch width.
+    /// [`DssModel::infer_plan`] on a batch panel, f64 engine.
     pub fn infer_with_plan_batched_into(
         &self,
         plan: &InferencePlan,
@@ -431,11 +356,10 @@ impl DssModel {
         scratch: &mut InferScratch,
         out: &mut [f64],
     ) {
-        self.infer_plan_core_b(plan, input, b, scratch, out, None);
+        self.infer_plan(plan, input, b, scratch, out, None);
     }
 
-    /// [`DssModel::infer_with_plan_batched_into`] with a per-stage wall-clock
-    /// breakdown accumulated into `timings`.
+    /// [`DssModel::infer_plan`] on a batch panel with stage timings, f64.
     #[allow(clippy::too_many_arguments)]
     pub fn infer_with_plan_batched_timed(
         &self,
@@ -446,12 +370,21 @@ impl DssModel {
         out: &mut [f64],
         timings: &mut InferenceTimings,
     ) {
-        self.infer_plan_core_b(plan, input, b, scratch, out, Some(timings));
+        self.infer_plan(plan, input, b, scratch, out, Some(timings));
     }
 
-    /// Batched single-precision planned inference over a column-interleaved
-    /// `n × b` panel — the f32 sibling of
-    /// [`DssModel::infer_with_plan_batched_into`].
+    /// [`DssModel::infer_plan`] on one right-hand side, f32 engine.
+    pub fn infer_with_plan_f32_into(
+        &self,
+        plan: &InferencePlanF32,
+        input: &[f64],
+        scratch: &mut InferScratchF32,
+        out: &mut [f64],
+    ) {
+        self.infer_plan(plan, input, 1, scratch, out, None);
+    }
+
+    /// [`DssModel::infer_plan`] on a batch panel, f32 engine.
     pub fn infer_with_plan_f32_batched_into(
         &self,
         plan: &InferencePlanF32,
@@ -460,12 +393,10 @@ impl DssModel {
         scratch: &mut InferScratchF32,
         out: &mut [f64],
     ) {
-        self.check_plan_f32(plan);
-        plan.infer_into_b(input, b, scratch, out);
+        self.infer_plan(plan, input, b, scratch, out, None);
     }
 
-    /// [`DssModel::infer_with_plan_f32_batched_into`] with a per-stage
-    /// wall-clock breakdown accumulated into `timings`.
+    /// [`DssModel::infer_plan`] on a batch panel with stage timings, f32.
     #[allow(clippy::too_many_arguments)]
     pub fn infer_with_plan_f32_batched_timed(
         &self,
@@ -476,13 +407,21 @@ impl DssModel {
         out: &mut [f64],
         timings: &mut InferenceTimings,
     ) {
-        self.check_plan_f32(plan);
-        plan.infer_timed_b(input, b, scratch, out, timings);
+        self.infer_plan(plan, input, b, scratch, out, Some(timings));
     }
 
-    /// Batched quantised planned inference over a column-interleaved `n × b`
-    /// panel — the int8/bf16 sibling of
-    /// [`DssModel::infer_with_plan_batched_into`].
+    /// [`DssModel::infer_plan`] on one right-hand side, int8 engine.
+    pub fn infer_with_plan_q_into(
+        &self,
+        plan: &InferencePlanQ,
+        input: &[f64],
+        scratch: &mut InferScratchQ,
+        out: &mut [f64],
+    ) {
+        self.infer_plan(plan, input, 1, scratch, out, None);
+    }
+
+    /// [`DssModel::infer_plan`] on a batch panel, int8 engine.
     pub fn infer_with_plan_q_batched_into(
         &self,
         plan: &InferencePlanQ,
@@ -491,12 +430,10 @@ impl DssModel {
         scratch: &mut InferScratchQ,
         out: &mut [f64],
     ) {
-        self.check_plan_q(plan);
-        plan.infer_into_b(input, b, scratch, out);
+        self.infer_plan(plan, input, b, scratch, out, None);
     }
 
-    /// [`DssModel::infer_with_plan_q_batched_into`] with a per-stage
-    /// wall-clock breakdown accumulated into `timings`.
+    /// [`DssModel::infer_plan`] on a batch panel with stage timings, int8.
     #[allow(clippy::too_many_arguments)]
     pub fn infer_with_plan_q_batched_timed(
         &self,
@@ -507,125 +444,7 @@ impl DssModel {
         out: &mut [f64],
         timings: &mut InferenceTimings,
     ) {
-        self.check_plan_q(plan);
-        plan.infer_timed_b(input, b, scratch, out, timings);
-    }
-
-    fn infer_plan_core_b(
-        &self,
-        plan: &InferencePlan,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratch,
-        out: &mut [f64],
-        mut timings: Option<&mut InferenceTimings>,
-    ) {
-        let d = self.config.latent_dim;
-        let n = plan.num_nodes;
-        assert_eq!(plan.latent_dim, d, "plan built for a different latent dimension");
-        assert_eq!(plan.num_blocks, self.blocks.len(), "plan built for a different model depth");
-        assert_eq!(input.len(), n * b, "input panel length mismatch");
-        assert_eq!(out.len(), n * b, "output panel length mismatch");
-
-        let InferScratch { h, a_dst, a_src, hsum_fwd, hsum_bwd, psi_hidden, update, hidden } =
-            scratch;
-        h.clear();
-        h.resize(n * d * b, 0.0);
-        a_dst.resize(n * d * b, 0.0);
-        a_src.resize(n * d * b, 0.0);
-        hsum_fwd.resize(n * d * b, 0.0);
-        hsum_bwd.resize(n * d * b, 0.0);
-        psi_hidden.resize(n * d * b, 0.0);
-        update.resize(n * d * b, 0.0);
-
-        let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-        macro_rules! tick {
-            ($field:ident) => {
-                if let Some(t) = timings.as_deref_mut() {
-                    let now = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-                    t.$field += now.duration_since(last).as_nanos() as u64;
-                    last = now;
-                }
-            };
-        }
-
-        let db = d * b;
-        for (block, pb) in self.blocks.iter().zip(plan.blocks.iter()) {
-            for dir in 0..2 {
-                let (w_dst, w_src, geo, hsum) = if dir == 0 {
-                    (&pb.w_dst_fwd, &pb.w_src_fwd, &pb.geo_fwd, &mut *hsum_fwd)
-                } else {
-                    (&pb.w_dst_bwd, &pb.w_src_bwd, &pb.geo_bwd, &mut *hsum_bwd)
-                };
-                // Node-level GEMMs: the h-dependent halves of the split first
-                // layer, `n × d` instead of `e × (2d + 3)`.
-                gemm::gemm_into_b(h, n, d, d, b, w_dst, a_dst);
-                gemm::gemm_into_b(h, n, d, d, b, w_src, a_src);
-                tick!(node_gemm_ns);
-                // Fused edge sweep: per-edge hidden pre-activation = static
-                // geometric term + gathered node terms, ReLU'd and summed
-                // straight into the per-node accumulator.  The second message
-                // layer is linear, so it is applied once per *node* inside
-                // the Ψ stage (composed into `psi_m_*`) rather than per edge
-                // — no e × d intermediate exists at all.
-                for j in 0..n {
-                    let adj = &a_dst[j * db..(j + 1) * db];
-                    let acc = &mut hsum[j * db..(j + 1) * db];
-                    acc.fill(0.0);
-                    for slot in plan.edge_ptr[j]..plan.edge_ptr[j + 1] {
-                        let src = plan.edge_src[slot];
-                        let asj = &a_src[src * db..(src + 1) * db];
-                        let g = &geo[slot * d..(slot + 1) * d];
-                        relu_sum3_acc_b(acc, g, adj, asj, b);
-                    }
-                }
-                tick!(edge_gather_ns);
-            }
-            // Ψ update.  The pre-activation starts from the per-graph static
-            // term (bias + degree-scaled message biases) plus the per-apply
-            // `W_c c` term, then accumulates the three latent-dependent GEMMs
-            // (the message ones pre-composed with the second message layer).
-            for j in 0..n {
-                let cin = &input[j * b..(j + 1) * b];
-                let stat = &pb.psi_static[j * d..(j + 1) * d];
-                let row = &mut psi_hidden[j * db..(j + 1) * db];
-                if b == 1 {
-                    // Contiguous `d`-wide row body (vectorises).
-                    for k in 0..d {
-                        row[k] = stat[k] + pb.psi_w_c[k] * cin[0];
-                    }
-                    continue;
-                }
-                for k in 0..d {
-                    let s = stat[k];
-                    let wc = pb.psi_w_c[k];
-                    let rk = &mut row[k * b..(k + 1) * b];
-                    for c in 0..b {
-                        rk[c] = s + wc * cin[c];
-                    }
-                }
-            }
-            gemm::gemm_acc_into_b(h, n, d, d, b, &pb.psi_w_h, psi_hidden);
-            gemm::gemm_acc_into_b(hsum_fwd, n, d, d, b, &pb.psi_m_fwd, psi_hidden);
-            gemm::gemm_acc_into_b(hsum_bwd, n, d, d, b, &pb.psi_m_bwd, psi_hidden);
-            for v in psi_hidden.iter_mut() {
-                *v = v.max(0.0);
-            }
-            block.psi.l2.forward_into_b(psi_hidden, n, b, update);
-            for i in 0..n * d * b {
-                h[i] += self.config.alpha * update[i];
-            }
-            tick!(psi_update_ns);
-        }
-        match self.blocks.last() {
-            Some(block) => block.decoder.forward_into_b(h, n, b, hidden, out),
-            None => out.fill(0.0),
-        }
-        tick!(decoder_ns);
-        let _ = last; // the final tick's stamp is intentionally unused
-        if let Some(t) = timings {
-            t.calls += 1;
-        }
+        self.infer_plan(plan, input, b, scratch, out, Some(timings));
     }
 
     /// Run the model on a batch of graphs in parallel (the CPU analogue of the
@@ -652,24 +471,14 @@ impl DssModel {
         graphs: &[LocalGraph],
         pool: &ScratchPool<InferScratch>,
     ) -> Vec<Vec<f64>> {
-        graphs
-            .par_iter()
-            .map(|g| {
-                let plan = InferencePlan::new(self, g);
-                let mut scratch = pool.acquire();
-                let mut out = vec![0.0; g.num_nodes()];
-                self.infer_with_plan_into(&plan, &g.input, &mut scratch, &mut out);
-                pool.release(scratch);
-                out
-            })
-            .collect()
+        self.infer_batch_in(graphs, pool)
     }
 
     /// Batched inference through the **f32 engine**, recycling
     /// [`InferScratchF32`] buffers through the model's retained pool the same
     /// way [`DssModel::infer_batch`] recycles the f64 scratch.
     pub fn infer_batch_f32(&self, graphs: &[LocalGraph]) -> Vec<Vec<f64>> {
-        self.infer_batch_f32_with_pool(graphs, &self.batch_pools.f32_pool)
+        self.infer_batch_in(graphs, &self.batch_pools.f32_pool)
     }
 
     /// [`DssModel::infer_batch_f32`] with a caller-owned scratch pool.
@@ -678,13 +487,22 @@ impl DssModel {
         graphs: &[LocalGraph],
         pool: &ScratchPool<InferScratchF32>,
     ) -> Vec<Vec<f64>> {
+        self.infer_batch_in(graphs, pool)
+    }
+
+    /// Per-graph throwaway plans at precision `P`, inferred in parallel.
+    fn infer_batch_in<P: PlanPrecision>(
+        &self,
+        graphs: &[LocalGraph],
+        pool: &ScratchPool<Scratch<P>>,
+    ) -> Vec<Vec<f64>> {
         graphs
             .par_iter()
             .map(|g| {
-                let plan = InferencePlanF32::new(self, g);
+                let plan = Plan::<P>::new(self, g);
                 let mut scratch = pool.acquire();
                 let mut out = vec![0.0; g.num_nodes()];
-                plan.infer_into(&g.input, &mut scratch, &mut out);
+                self.infer_plan(&plan, &g.input, 1, &mut scratch, &mut out, None);
                 pool.release(scratch);
                 out
             })
@@ -824,31 +642,6 @@ impl DssModel {
             *m += alpha * t;
         }
         self.load_flat(&mine);
-    }
-}
-
-/// Fused f64 edge-sweep body: `acc[k·b + c] += max(g[k] + adj[k·b + c] +
-/// asj[k·b + c], 0)` over `d × b` column-interleaved panels, the static row
-/// `g` loaded once per edge and broadcast over the `b` columns.  At `b = 1`
-/// the panels are plain `d`-wide rows and the contiguous body runs instead
-/// (same per-element operations, but it vectorises).
-#[inline(always)]
-fn relu_sum3_acc_b(acc: &mut [f64], g: &[f64], adj: &[f64], asj: &[f64], b: usize) {
-    if b == 1 {
-        let d = acc.len();
-        let (g, adj, asj) = (&g[..d], &adj[..d], &asj[..d]);
-        for k in 0..d {
-            acc[k] += (g[k] + adj[k] + asj[k]).max(0.0);
-        }
-        return;
-    }
-    for (k, &gk) in g.iter().enumerate() {
-        let ak = &mut acc[k * b..(k + 1) * b];
-        let adjk = &adj[k * b..(k + 1) * b];
-        let asjk = &asj[k * b..(k + 1) * b];
-        for c in 0..b {
-            ak[c] += (gk + adjk[c] + asjk[c]).max(0.0);
-        }
     }
 }
 

@@ -1,5 +1,5 @@
 //! Per-graph inference plans: split first-layer weights and precomputed
-//! static-feature terms.
+//! static-feature terms, and the one planned forward pass.
 //!
 //! The DSS forward pass feeds every message MLP an edge-level batch of
 //! `e × (2d + 3)` rows `[h_dst | h_src | d_jl | ‖d_jl‖]`.  The first layer is
@@ -20,25 +20,33 @@
 //! blocks of one apply and is folded together with the bias into the
 //! pre-activation's initial value.
 //!
-//! A plan is tied to the exact (model, graph) pair it was built from; the
-//! edge structure is copied in destination-sorted order (see
-//! [`LocalGraph::edge_ptr`]), so message aggregation in the planned forward
-//! pass is a contiguous per-node gather.
+//! The two message directions are **fused**: weight splits, static edge
+//! terms and per-node hidden sums are concatenated column-wise (`[fwd | bwd]`,
+//! rows `2d` wide), so one node GEMM produces both directions' terms, one
+//! edge sweep aggregates both, and the two composed Ψ message GEMMs are one
+//! `2d × d` product whose ascending-input order is the fwd-then-bwd pair.
 //!
-//! Each precision has **one** forward pass, over a column-interleaved panel
-//! of `b` right-hand sides (`input[j*b + c]` is column `c` at node `j`):
-//! every plan stream is read once per batch.  A single right-hand side is
-//! that pass at `b = 1`, where the panel is the plain vector and the GEMMs,
-//! edge sweep and Ψ initialisation take their row-major kernels.
+//! A plan is tied to the exact (model, graph) pair it was built from; the
+//! edge structure is copied in destination-sorted order (the graph's
+//! `edge_ptr`/`edge_order` incidence), so message aggregation is a
+//! contiguous per-node gather.  It snapshots every weight it needs, so it
+//! must be rebuilt if the model is retrained.
+//!
+//! There is **one** plan type, [`Plan`], and one forward pass, over a
+//! column-interleaved panel of `b` right-hand sides (`input[j*b + c]` is
+//! column `c` at node `j`): every plan stream is read once per batch, and a
+//! single right-hand side is that pass at `b = 1`.  Precision is a storage
+//! choice made by the [`PlanPrecision`] parameter ([`F64`], [`F32`] or
+//! [`Int8`]); the algorithm is the same.
 
 use std::time::Instant;
 
 use sanitizer::TrackedMutex;
 
-use crate::gemm;
+use crate::gemm::{self, gemm_t, Init, Real, Widen};
 use crate::graph::LocalGraph;
 use crate::layers::Linear;
-use crate::model::{Block, DssModel, InferScratch};
+use crate::model::{Block, DssModel};
 
 /// Scalar precision of the inference engine.
 ///
@@ -56,7 +64,7 @@ pub enum Precision {
     /// Double-precision inference (bit-reproducible engine, the default).
     #[default]
     F64,
-    /// Single-precision inference with explicit 8-lane SIMD kernels.
+    /// Single-precision inference with 8-lane register tiles.
     F32,
     /// Quantised inference: int8 weights with per-output f32 scales, bf16
     /// static edge terms and hidden sums, f32 accumulators throughout.
@@ -93,38 +101,193 @@ impl std::str::FromStr for Precision {
     }
 }
 
-/// Split weights and precomputed static terms of one message-passing block.
+/// What differs between the precisions of a [`Plan`]: how activations,
+/// static streams and weights are stored.  The forward pass is the same.
 ///
-/// Beyond the first-layer split, the plan exploits that the message MLPs'
-/// *second* layer is linear too: summing the per-edge messages and then
-/// multiplying by `Ψ`'s message columns equals multiplying the per-node sum
-/// of ReLU'd hidden activations by the composed matrix `W_Ψ,msg W₂` — so the
-/// planned forward pass never materialises a per-edge message at all.  The
-/// message biases contribute `deg(j) · W_Ψ,msg b₂` per node, a per-graph
-/// constant folded into [`PlanBlock::psi_static`].
-pub(crate) struct PlanBlock {
-    /// `Φ→` first-layer columns acting on `h_dst` (`d × d`, row-major).
-    pub w_dst_fwd: Vec<f64>,
-    /// `Φ→` first-layer columns acting on `h_src`.
-    pub w_src_fwd: Vec<f64>,
-    /// `Φ→` static term `W_geo g_e + b₁` per destination-sorted edge (`e × d`).
-    pub geo_fwd: Vec<f64>,
-    /// `Φ←` split, with the relative position negated in the static term.
-    pub w_dst_bwd: Vec<f64>,
-    pub w_src_bwd: Vec<f64>,
-    pub geo_bwd: Vec<f64>,
-    /// `Ψ` first-layer columns acting on `h` (`d × d`).
-    pub psi_w_h: Vec<f64>,
-    /// `Ψ` first-layer column acting on the node input `c` (length `d`).
-    pub psi_w_c: Vec<f64>,
-    /// Composed matrix `W_Ψ,→ W₂→` applied to the aggregated forward hidden
-    /// activations (`d × d`).
-    pub psi_m_fwd: Vec<f64>,
-    /// Composed matrix `W_Ψ,← W₂←` for the backward direction.
-    pub psi_m_bwd: Vec<f64>,
-    /// Per-node static `Ψ` pre-activation
-    /// `b_Ψ + deg(j) · (W_Ψ,→ b₂→ + W_Ψ,← b₂←)` (`n × d`).
-    pub psi_static: Vec<f64>,
+/// Every split and composition is computed in f64 at build time and rounded
+/// once into this storage, so a reduced-precision plan carries no extra
+/// composition error.
+pub trait PlanPrecision: Default + std::fmt::Debug + Send + Sync + 'static {
+    /// Activation and accumulator type.
+    type Act: Real;
+    /// Storage of the static streams (edge geo terms, Ψ static rows) and of
+    /// the per-node hidden sums.
+    type Stat: Widen<Self::Act>;
+    /// Storage of the node-GEMM and Ψ first-layer weights.
+    type Weights: Send + Sync;
+
+    /// Narrow an accumulator value to static-stream storage.
+    fn store(v: Self::Act) -> Self::Stat;
+    /// One node's edge sweep: run `sweep` on a zeroed accumulator row and
+    /// leave the sums in `row`.  The plain precisions accumulate in place;
+    /// int8 accumulates in f32 (`acc`) and rounds to bf16 once.
+    fn sum_row(row: &mut [Self::Stat], acc: &mut [Self::Act], sweep: impl FnOnce(&mut [Self::Act]));
+    /// Weights from a transposed (`in × out`) f64 matrix.
+    fn weights(wt: &[f64], in_dim: usize, out_dim: usize) -> Self::Weights;
+    /// Heap bytes of a weight matrix.
+    fn weight_bytes(w: &Self::Weights) -> usize;
+    /// `Y = init + X W` with this precision's epilogue; `wbuf` is scratch
+    /// for widened weights.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm<X: Widen<Self::Act>>(
+        x: &[X],
+        n: usize,
+        in_dim: usize,
+        out_dim: usize,
+        b: usize,
+        w: &Self::Weights,
+        init: Init<'_, Self::Act>,
+        wbuf: &mut Vec<Self::Act>,
+        y: &mut [Self::Act],
+    );
+}
+
+/// Double precision throughout: the bit-reproducible engine.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct F64;
+
+/// Single precision throughout.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct F32;
+
+/// int8 weights with per-output f32 scales, bf16 static streams and hidden
+/// sums, f32 activations and accumulators.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Int8;
+
+macro_rules! impl_plain_precision {
+    ($p:ty, $t:ty) => {
+        impl PlanPrecision for $p {
+            type Act = $t;
+            type Stat = $t;
+            type Weights = Vec<$t>;
+
+            #[inline(always)]
+            fn store(v: $t) -> $t {
+                v
+            }
+            #[inline(always)]
+            fn sum_row(row: &mut [$t], _: &mut [$t], sweep: impl FnOnce(&mut [$t])) {
+                row.fill(0.0);
+                sweep(row);
+            }
+            fn weights(wt: &[f64], _: usize, _: usize) -> Vec<$t> {
+                wt.iter().map(|&v| <$t>::from_f64(v)).collect()
+            }
+            fn weight_bytes(w: &Vec<$t>) -> usize {
+                std::mem::size_of_val(w.as_slice())
+            }
+            fn gemm<X: Widen<$t>>(
+                x: &[X],
+                n: usize,
+                in_dim: usize,
+                out_dim: usize,
+                b: usize,
+                w: &Vec<$t>,
+                init: Init<'_, $t>,
+                _: &mut Vec<$t>,
+                y: &mut [$t],
+            ) {
+                gemm_t(x, n, in_dim, out_dim, b, w, init, None, y);
+            }
+        }
+    };
+}
+impl_plain_precision!(F64, f64);
+impl_plain_precision!(F32, f32);
+
+/// int8 weights with one f32 scale per output column.
+pub struct QuantisedWeights {
+    q: Vec<i8>,
+    scale: Vec<f32>,
+}
+
+impl PlanPrecision for Int8 {
+    type Act = f32;
+    type Stat = u16;
+    type Weights = QuantisedWeights;
+
+    #[inline(always)]
+    fn store(v: f32) -> u16 {
+        gemm::f32_to_bf16(v)
+    }
+    #[inline(always)]
+    fn sum_row(row: &mut [u16], acc: &mut [f32], sweep: impl FnOnce(&mut [f32])) {
+        acc.fill(0.0);
+        sweep(acc);
+        for (s, &a) in row.iter_mut().zip(acc.iter()) {
+            *s = Self::store(a);
+        }
+    }
+    fn weights(wt: &[f64], in_dim: usize, out_dim: usize) -> QuantisedWeights {
+        let (q, scale) = quantise_cols_i8(wt, in_dim, out_dim);
+        QuantisedWeights { q, scale }
+    }
+    fn weight_bytes(w: &QuantisedWeights) -> usize {
+        w.q.len() + std::mem::size_of_val(w.scale.as_slice())
+    }
+    /// Widens the int8 weight into `wbuf` once per call (a few hundred
+    /// values that stay L1-resident across the whole batch), then applies
+    /// the per-output scale in the kernel's epilogue.
+    fn gemm<X: Widen<f32>>(
+        x: &[X],
+        n: usize,
+        in_dim: usize,
+        out_dim: usize,
+        b: usize,
+        w: &QuantisedWeights,
+        init: Init<'_, f32>,
+        wbuf: &mut Vec<f32>,
+        y: &mut [f32],
+    ) {
+        wbuf.clear();
+        wbuf.extend(w.q.iter().map(|&q| q as f32));
+        gemm_t(x, n, in_dim, out_dim, b, wbuf, init, Some(&w.scale), y);
+    }
+}
+
+/// Per-output-column int8 quantisation of a transposed (`in × out`) f64
+/// matrix: `scale[o] = max_i |wt[i][o]| / 127` (1.0 for all-zero columns, so
+/// the quantised values stay 0), `q[i][o] = round(wt[i][o] / scale[o])`.
+///
+/// One scale per *output* equals one scale per row of the original
+/// `out × in` weight — the per-output-row scheme: each output's dot product
+/// is exact up to a single rounding per weight, and dequantisation is one
+/// multiply per output after the shared-axis sweep.
+fn quantise_cols_i8(wt: &[f64], in_dim: usize, out_dim: usize) -> (Vec<i8>, Vec<f32>) {
+    debug_assert_eq!(wt.len(), in_dim * out_dim);
+    let mut q = vec![0i8; wt.len()];
+    let mut scale = vec![0.0f32; out_dim];
+    for o in 0..out_dim {
+        let amax = (0..in_dim).map(|i| wt[i * out_dim + o].abs()).fold(0.0f64, f64::max);
+        let s = if amax == 0.0 { 1.0 } else { amax / 127.0 };
+        scale[o] = s as f32;
+        for i in 0..in_dim {
+            q[i * out_dim + o] = (wt[i * out_dim + o] / s).round().clamp(-127.0, 127.0) as i8;
+        }
+    }
+    (q, scale)
+}
+
+/// Round an f64 build-time value into static-stream storage.
+fn narrow<P: PlanPrecision>(v: f64) -> P::Stat {
+    P::store(P::Act::from_f64(v))
+}
+
+/// Transpose row-major `out_dim × in_dim` matrices into the kernels'
+/// `in × out` layout, side by side: row `i` is `[a[·][i] | b[·][i] | …]`.
+fn transpose_cat(mats: &[&[f64]], out_dim: usize, in_dim: usize) -> Vec<f64> {
+    let width = mats.len() * out_dim;
+    let mut wt = vec![0.0; in_dim * width];
+    for (m, a) in mats.iter().enumerate() {
+        debug_assert_eq!(a.len(), out_dim * in_dim);
+        for o in 0..out_dim {
+            for i in 0..in_dim {
+                wt[i * width + m * out_dim + o] = a[o * in_dim + i];
+            }
+        }
+    }
+    wt
 }
 
 /// Extract the column block `[col0, col0 + cols)` of a row-major layer weight
@@ -134,27 +297,6 @@ fn column_block(layer: &Linear, col0: usize, cols: usize) -> Vec<f64> {
     for o in 0..layer.out_dim {
         let row = &layer.weight[o * layer.in_dim..(o + 1) * layer.in_dim];
         out.extend_from_slice(&row[col0..col0 + cols]);
-    }
-    out
-}
-
-/// Precompute `W_geo g_e + b₁` for every destination-sorted edge.  `sign`
-/// flips the relative position for the backward message direction.
-fn geo_terms(layer: &Linear, graph: &LocalGraph, d: usize, sign: f64) -> Vec<f64> {
-    let cols = layer.in_dim;
-    debug_assert_eq!(cols, 2 * d + 3);
-    let mut out = Vec::with_capacity(graph.num_edges() * d);
-    for &ei in &graph.edge_order {
-        let edge = &graph.edges[ei];
-        for o in 0..d {
-            let w = &layer.weight[o * cols + 2 * d..o * cols + 2 * d + 3];
-            out.push(
-                layer.bias[o]
-                    + w[0] * (sign * edge.delta[0])
-                    + w[1] * (sign * edge.delta[1])
-                    + w[2] * edge.dist,
-            );
-        }
     }
     out
 }
@@ -183,77 +325,247 @@ fn matvec_dd(a: &[f64], v: &[f64], d: usize) -> Vec<f64> {
     (0..d).map(|p| a[p * d..(p + 1) * d].iter().zip(v).map(|(x, y)| x * y).sum()).collect()
 }
 
-impl PlanBlock {
+/// A dense layer in the transposed kernels' layout: `in × out` weight and
+/// bias, stored at the activation precision.
+struct Dense<T> {
+    wt: Vec<T>,
+    bias: Vec<T>,
+}
+
+impl<T: Real> Dense<T> {
+    fn new(layer: &Linear) -> Self {
+        let wt = transpose_cat(&[&layer.weight], layer.out_dim, layer.in_dim);
+        Dense {
+            wt: wt.iter().map(|&v| T::from_f64(v)).collect(),
+            bias: layer.bias.iter().map(|&v| T::from_f64(v)).collect(),
+        }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        std::mem::size_of::<T>() * (self.wt.len() + self.bias.len())
+    }
+}
+
+/// Split weights and precomputed static terms of one message-passing block,
+/// direction-fused.
+///
+/// Beyond the first-layer split, the plan exploits that the message MLPs'
+/// *second* layer is linear too: summing the per-edge messages and then
+/// multiplying by `Ψ`'s message columns equals multiplying the per-node sum
+/// of ReLU'd hidden activations by the composed matrix `W_Ψ,msg W₂` — so the
+/// planned forward pass never materialises a per-edge message at all.  The
+/// message biases contribute `deg(j) · W_Ψ,msg b₂` per node, a per-graph
+/// constant folded into `psi_static`.
+struct PlanBlock<P: PlanPrecision> {
+    /// `[W_dst,→ | W_dst,←]` transposed: `d × 2d`.
+    w_dst: P::Weights,
+    /// `[W_src,→ | W_src,←]` transposed: `d × 2d`.
+    w_src: P::Weights,
+    /// `[W_geo,→ g_e + b₁→ | W_geo,← (−g_e) + b₁←]` per destination-sorted
+    /// edge: `e × 2d`.
+    geo: Vec<P::Stat>,
+    /// `Ψ` first-layer columns acting on `h`, transposed: `d × d`.
+    psi_w_h: P::Weights,
+    /// `Ψ` first-layer column acting on the node input `c` (length `d`).
+    psi_w_c: Vec<P::Act>,
+    /// `[W_Ψ,→ W₂→ ; W_Ψ,← W₂←]` transposed: `2d × d`, fwd input rows first.
+    psi_m: P::Weights,
+    /// Per-node static `Ψ` pre-activation
+    /// `b_Ψ + deg(j) · (W_Ψ,→ b₂→ + W_Ψ,← b₂←)` (`n × d`).
+    psi_static: Vec<P::Stat>,
+    /// Ψ second layer.
+    psi_l2: Dense<P::Act>,
+}
+
+impl<P: PlanPrecision> PlanBlock<P> {
     fn new(block: &Block, graph: &LocalGraph, d: usize) -> Self {
-        let psi = &block.psi.l1;
+        let (fwd, bwd, psi) = (&block.phi_fwd, &block.phi_bwd, &block.psi.l1);
+        debug_assert_eq!(fwd.l1.in_dim, 2 * d + 3);
         debug_assert_eq!(psi.in_dim, 3 * d + 1);
+        // Static edge terms `W_geo g_e + b₁`, written straight into their
+        // final storage; the backward direction negates the relative position.
+        let mut geo = Vec::with_capacity(graph.num_edges() * 2 * d);
+        for &ei in &graph.edge_order {
+            let edge = &graph.edges[ei];
+            for (layer, sign) in [(&fwd.l1, 1.0), (&bwd.l1, -1.0)] {
+                let cols = layer.in_dim;
+                for o in 0..d {
+                    let w = &layer.weight[o * cols + 2 * d..o * cols + 2 * d + 3];
+                    geo.push(narrow::<P>(
+                        layer.bias[o]
+                            + w[0] * (sign * edge.delta[0])
+                            + w[1] * (sign * edge.delta[1])
+                            + w[2] * edge.dist,
+                    ));
+                }
+            }
+        }
         let psi_w_fwd = column_block(psi, d + 1, d);
         let psi_w_bwd = column_block(psi, 2 * d + 1, d);
         // Per-node static Ψ pre-activation: bias plus the message-bias
         // contribution, which scales with the node degree.
-        let q_fwd = matvec_dd(&psi_w_fwd, &block.phi_fwd.l2.bias, d);
-        let q_bwd = matvec_dd(&psi_w_bwd, &block.phi_bwd.l2.bias, d);
-        let n = graph.num_nodes();
-        let mut psi_static = vec![0.0; n * d];
-        for j in 0..n {
+        let q_fwd = matvec_dd(&psi_w_fwd, &fwd.l2.bias, d);
+        let q_bwd = matvec_dd(&psi_w_bwd, &bwd.l2.bias, d);
+        let mut psi_static = Vec::with_capacity(graph.num_nodes() * d);
+        for j in 0..graph.num_nodes() {
             let deg = (graph.edge_ptr[j + 1] - graph.edge_ptr[j]) as f64;
-            let row = &mut psi_static[j * d..(j + 1) * d];
             for k in 0..d {
-                row[k] = psi.bias[k] + deg * (q_fwd[k] + q_bwd[k]);
+                psi_static.push(narrow::<P>(psi.bias[k] + deg * (q_fwd[k] + q_bwd[k])));
             }
         }
+        // The composed message matrices stack as GEMM *inputs*: input row i
+        // is the i-th forward hidden dimension for i < d, the (i-d)-th
+        // backward one otherwise.
+        let mut psi_m = transpose_cat(&[&matmul_dd(&psi_w_fwd, &fwd.l2.weight, d)], d, d);
+        psi_m.extend(transpose_cat(&[&matmul_dd(&psi_w_bwd, &bwd.l2.weight, d)], d, d));
+        let split = |col0: usize| {
+            let (f, b) = (column_block(&fwd.l1, col0, d), column_block(&bwd.l1, col0, d));
+            P::weights(&transpose_cat(&[&f, &b], d, d), d, 2 * d)
+        };
         PlanBlock {
-            w_dst_fwd: column_block(&block.phi_fwd.l1, 0, d),
-            w_src_fwd: column_block(&block.phi_fwd.l1, d, d),
-            geo_fwd: geo_terms(&block.phi_fwd.l1, graph, d, 1.0),
-            w_dst_bwd: column_block(&block.phi_bwd.l1, 0, d),
-            w_src_bwd: column_block(&block.phi_bwd.l1, d, d),
-            geo_bwd: geo_terms(&block.phi_bwd.l1, graph, d, -1.0),
-            psi_w_h: column_block(psi, 0, d),
-            psi_w_c: column_block(psi, d, 1),
-            psi_m_fwd: matmul_dd(&psi_w_fwd, &block.phi_fwd.l2.weight, d),
-            psi_m_bwd: matmul_dd(&psi_w_bwd, &block.phi_bwd.l2.weight, d),
+            w_dst: split(0),
+            w_src: split(d),
+            geo,
+            psi_w_h: P::weights(&transpose_cat(&[&column_block(psi, 0, d)], d, d), d, d),
+            psi_w_c: column_block(psi, d, 1).iter().map(|&v| P::Act::from_f64(v)).collect(),
+            psi_m: P::weights(&psi_m, 2 * d, d),
             psi_static,
+            psi_l2: Dense::new(&block.psi.l2),
         }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        P::weight_bytes(&self.w_dst)
+            + P::weight_bytes(&self.w_src)
+            + P::weight_bytes(&self.psi_w_h)
+            + P::weight_bytes(&self.psi_m)
+            + std::mem::size_of::<P::Stat>() * (self.geo.len() + self.psi_static.len())
+            + std::mem::size_of::<P::Act>() * self.psi_w_c.len()
+            + self.psi_l2.memory_bytes()
     }
 }
 
 /// A per-graph inference plan: the setup half of the setup/apply split.
 ///
 /// Build once per sub-domain graph (e.g. at preconditioner construction) via
-/// [`DssModel::build_plan`], then run [`DssModel::infer_with_plan_into`] any
-/// number of times with changing node inputs.  The plan snapshots the model's
-/// first-layer weights, so it must be rebuilt if the model is retrained.
-pub struct InferencePlan {
+/// [`DssModel::build_plan`] (or its `_f32`/`_q` siblings), then run
+/// [`DssModel::infer_plan`] any number of times with changing node inputs.
+/// The residual is rounded to the activation precision on entry and the
+/// decoded output widened back to f64 on exit, so the surrounding solver
+/// stays in double precision.
+pub struct Plan<P: PlanPrecision> {
     pub(crate) num_nodes: usize,
     pub(crate) num_edges: usize,
     pub(crate) latent_dim: usize,
     pub(crate) num_blocks: usize,
-    /// Source node of every destination-sorted edge.
-    pub(crate) edge_src: Vec<usize>,
+    alpha: P::Act,
+    /// Source node of every destination-sorted edge (u32: sub-domain graphs
+    /// are far below 2³² nodes, and the narrower index halves gather
+    /// traffic).
+    edge_src: Vec<u32>,
     /// Destination offsets into the sorted edge list (`n + 1` entries).
-    pub(crate) edge_ptr: Vec<usize>,
-    pub(crate) blocks: Vec<PlanBlock>,
+    edge_ptr: Vec<usize>,
+    blocks: Vec<PlanBlock<P>>,
+    /// Final-block decoder.
+    decoder: Option<[Dense<P::Act>; 2]>,
 }
 
-impl InferencePlan {
+/// The double-precision plan.
+pub type InferencePlan = Plan<F64>;
+/// The single-precision plan.
+pub type InferencePlanF32 = Plan<F32>;
+/// The quantised plan.
+pub type InferencePlanQ = Plan<Int8>;
+
+/// Reusable buffers of the planned forward pass.
+///
+/// Create once (cheap, everything starts empty), pass to every inference
+/// call; buffers are sized lazily to the largest graph and batch width seen
+/// and reused afterwards, and fully overwritten per inference.  Buffers are
+/// column-interleaved panels of `b` right-hand sides; the direction-fused
+/// ones (`a_dst`, `a_src`, `hsum`) are `n × 2d × b`.  Holding one scratch per
+/// sub-domain keeps the preconditioner's hot path allocation-free; batched
+/// inference recycles them through a [`ScratchPool`].
+#[derive(Debug, Default)]
+pub struct Scratch<P: PlanPrecision> {
+    input: Vec<P::Act>,
+    h: Vec<P::Act>,
+    a_dst: Vec<P::Act>,
+    a_src: Vec<P::Act>,
+    /// One node's edge-sweep accumulator row (`2d × b`, int8 only).
+    acc: Vec<P::Act>,
+    /// Per-node hidden sums at static-stream precision (`n × 2d × b`).
+    hsum: Vec<P::Stat>,
+    /// Widened weights of the int8 GEMMs.
+    wbuf: Vec<P::Act>,
+    psi_hidden: Vec<P::Act>,
+    update: Vec<P::Act>,
+    hidden: Vec<P::Act>,
+}
+
+/// Scratch of the double-precision engine.
+pub type InferScratch = Scratch<F64>;
+/// Scratch of the single-precision engine.
+pub type InferScratchF32 = Scratch<F32>;
+/// Scratch of the quantised engine.
+pub type InferScratchQ = Scratch<Int8>;
+
+impl<P: PlanPrecision> Scratch<P> {
+    /// Empty scratch; buffers are allocated on first use.
+    pub fn new() -> Self {
+        Scratch::default()
+    }
+}
+
+/// Fused edge-sweep body: `acc[k·b + c] += max(g[k] + adj[k·b + c] +
+/// asj[k·b + c], 0)` over `2d × b` column-interleaved panels, the static row
+/// `g` widened once per edge and broadcast over the `b` columns.  At `b = 1`
+/// the panels are plain rows and the contiguous body runs instead (same
+/// per-element operations, but it vectorises).
+#[inline(always)]
+fn relu_sum3_acc<T: Real, S: Widen<T>>(acc: &mut [T], g: &[S], adj: &[T], asj: &[T], b: usize) {
+    let len = acc.len();
+    let (adj, asj) = (&adj[..len], &asj[..len]);
+    if b == 1 {
+        let g = &g[..len];
+        for k in 0..len {
+            acc[k] += (g[k].widen() + adj[k] + asj[k]).relu();
+        }
+        return;
+    }
+    for (k, &gs) in g.iter().enumerate() {
+        let gk = gs.widen();
+        let ak = &mut acc[k * b..(k + 1) * b];
+        let (adjk, asjk) = (&adj[k * b..(k + 1) * b], &asj[k * b..(k + 1) * b]);
+        for c in 0..b {
+            ak[c] += (gk + adjk[c] + asjk[c]).relu();
+        }
+    }
+}
+
+impl<P: PlanPrecision> Plan<P> {
     /// Build a plan for `model` on `graph`.
     pub fn new(model: &DssModel, graph: &LocalGraph) -> Self {
-        let d = model.config().latent_dim;
+        let config = model.config();
+        let d = config.latent_dim;
         let n = graph.num_nodes();
         let e = graph.num_edges();
         assert_eq!(graph.edge_ptr.len(), n + 1, "stale incidence: run rebuild_incidence");
         assert_eq!(graph.edge_order.len(), e, "stale incidence: run rebuild_incidence");
-        let edge_src: Vec<usize> = graph.edge_order.iter().map(|&ei| graph.edges[ei].src).collect();
-        let blocks = model.blocks().iter().map(|b| PlanBlock::new(b, graph, d)).collect();
-        InferencePlan {
+        assert!(u32::try_from(n).is_ok(), "graph too large for u32 edge indices");
+        Plan {
             num_nodes: n,
             num_edges: e,
             latent_dim: d,
-            num_blocks: model.config().num_blocks,
-            edge_src,
+            num_blocks: config.num_blocks,
+            alpha: P::Act::from_f64(config.alpha),
+            edge_src: graph.edge_order.iter().map(|&ei| graph.edges[ei].src as u32).collect(),
             edge_ptr: graph.edge_ptr.clone(),
-            blocks,
+            blocks: model.blocks().iter().map(|b| PlanBlock::new(b, graph, d)).collect(),
+            decoder: model
+                .blocks()
+                .last()
+                .map(|b| [Dense::new(&b.decoder.l1), Dense::new(&b.decoder.l2)]),
         }
     }
 
@@ -268,346 +580,44 @@ impl InferencePlan {
     }
 
     /// Heap footprint of the precomputed data in bytes (dominated by the
-    /// per-block static edge terms, `2 k̄ e d` doubles).
+    /// per-block static edge terms, `2 k̄ e d` values).
     pub fn memory_bytes(&self) -> usize {
-        let d = self.latent_dim;
-        let per_block = std::mem::size_of::<f64>()
-            * (2 * self.num_edges * d + 7 * d * d + d + self.num_nodes * d);
-        self.blocks.len() * per_block
-            + std::mem::size_of::<usize>() * (self.edge_src.len() + self.edge_ptr.len())
-    }
-}
-
-/// Cast a slice of doubles to single precision.
-fn cast_f32(v: &[f64]) -> Vec<f32> {
-    v.iter().map(|&x| x as f32).collect()
-}
-
-/// Transpose a row-major `out_dim × in_dim` matrix into the f32 kernels'
-/// `in_dim × out_dim` layout (one contiguous row of output weights per input
-/// feature), casting to single precision.
-fn transpose_cast_f32(w: &[f64], out_dim: usize, in_dim: usize) -> Vec<f32> {
-    debug_assert_eq!(w.len(), out_dim * in_dim);
-    let mut wt = vec![0.0f32; in_dim * out_dim];
-    for o in 0..out_dim {
-        for i in 0..in_dim {
-            wt[i * out_dim + o] = w[o * in_dim + i] as f32;
-        }
-    }
-    wt
-}
-
-/// Single-precision counterpart of [`PlanBlock`].
-///
-/// All matrices consumed by the f32 GEMM kernels are stored transposed
-/// (`in × out`); everything is derived from the f64 [`PlanBlock`] — the
-/// splits and compositions are computed in double precision and rounded
-/// once, so the f32 plan carries no extra composition error.  Unlike the
-/// f64 plan, the f32 plan also snapshots Ψ's second layer: the f32 forward
-/// pass never reads the model at all.
-///
-/// On top of the f64 plan's splits, the f32 layout **fuses the two message
-/// directions**: the `Φ→`/`Φ←` weight splits, static edge terms and per-node
-/// hidden sums are concatenated column-wise (`[fwd | bwd]`, row width `2d`).
-/// One node GEMM then produces both directions' terms, one edge sweep
-/// aggregates both (halving the per-edge index overhead and running the
-/// SIMD lanes over `2d` contiguous floats), and the two composed Ψ message
-/// GEMMs collapse into a single `2d × d` product whose ascending-input
-/// accumulation order equals the sequential fwd-then-bwd pair.
-struct PlanBlockF32 {
-    /// `[W_dst,→ | W_dst,←]` transposed: `d × 2d`.
-    w_dst_cat_t: Vec<f32>,
-    /// `[W_src,→ | W_src,←]` transposed: `d × 2d`.
-    w_src_cat_t: Vec<f32>,
-    /// `[geo→ | geo←]` per destination-sorted edge: `e × 2d`.
-    geo_cat: Vec<f32>,
-    /// `Ψ` first-layer columns acting on `h`, transposed: `d × d`.
-    psi_w_h_t: Vec<f32>,
-    /// `Ψ` first-layer column acting on the node input `c` (length `d`).
-    psi_w_c: Vec<f32>,
-    /// `[W_Ψ,→ W₂→ ; W_Ψ,← W₂←]` transposed: `2d × d`.
-    psi_m_cat_t: Vec<f32>,
-    /// Per-node static `Ψ` pre-activation (`n × d`).
-    psi_static: Vec<f32>,
-    /// Ψ second layer, transposed weight + bias.
-    psi_l2_wt: Vec<f32>,
-    psi_l2_b: Vec<f32>,
-}
-
-/// Concatenate two row-major `d × d` matrices column-wise and transpose the
-/// pair into the f32 kernels' `in × out` layout: row `i` holds
-/// `[a[·][i] | b[·][i]]`, `2d` outputs wide.
-fn cat_transpose_cast_f32(a: &[f64], b: &[f64], d: usize) -> Vec<f32> {
-    debug_assert_eq!(a.len(), d * d);
-    debug_assert_eq!(b.len(), d * d);
-    let mut wt = vec![0.0f32; d * 2 * d];
-    for o in 0..d {
-        for i in 0..d {
-            wt[i * 2 * d + o] = a[o * d + i] as f32;
-            wt[i * 2 * d + d + o] = b[o * d + i] as f32;
-        }
-    }
-    wt
-}
-
-impl PlanBlockF32 {
-    fn new(block: &Block, graph: &LocalGraph, d: usize) -> Self {
-        let pb = PlanBlock::new(block, graph, d);
-        let e = graph.num_edges();
-        let mut geo_cat = vec![0.0f32; e * 2 * d];
-        for slot in 0..e {
-            for k in 0..d {
-                geo_cat[slot * 2 * d + k] = pb.geo_fwd[slot * d + k] as f32;
-                geo_cat[slot * 2 * d + d + k] = pb.geo_bwd[slot * d + k] as f32;
-            }
-        }
-        // The composed message matrices stack as GEMM *inputs*: input row i
-        // of the transposed layout is the i-th forward hidden dimension for
-        // i < d and the (i-d)-th backward one otherwise.
-        let mut psi_m_cat_t = vec![0.0f32; 2 * d * d];
-        for i in 0..d {
-            for o in 0..d {
-                psi_m_cat_t[i * d + o] = pb.psi_m_fwd[o * d + i] as f32;
-                psi_m_cat_t[(d + i) * d + o] = pb.psi_m_bwd[o * d + i] as f32;
-            }
-        }
-        PlanBlockF32 {
-            w_dst_cat_t: cat_transpose_cast_f32(&pb.w_dst_fwd, &pb.w_dst_bwd, d),
-            w_src_cat_t: cat_transpose_cast_f32(&pb.w_src_fwd, &pb.w_src_bwd, d),
-            geo_cat,
-            psi_w_h_t: transpose_cast_f32(&pb.psi_w_h, d, d),
-            psi_w_c: cast_f32(&pb.psi_w_c),
-            psi_m_cat_t,
-            psi_static: cast_f32(&pb.psi_static),
-            psi_l2_wt: block.psi.l2.weight_t_f32(),
-            psi_l2_b: block.psi.l2.bias_f32(),
-        }
+        self.blocks.iter().map(PlanBlock::memory_bytes).sum::<usize>()
+            + self.decoder.iter().flatten().map(Dense::memory_bytes).sum::<usize>()
+            + std::mem::size_of_val(self.edge_src.as_slice())
+            + std::mem::size_of_val(self.edge_ptr.as_slice())
     }
 
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<f32>()
-            * (self.w_dst_cat_t.len()
-                + self.w_src_cat_t.len()
-                + self.geo_cat.len()
-                + self.psi_w_h_t.len()
-                + self.psi_w_c.len()
-                + self.psi_m_cat_t.len()
-                + self.psi_static.len()
-                + self.psi_l2_wt.len()
-                + self.psi_l2_b.len())
-    }
-}
-
-/// Final-block decoder in single precision.
-struct DecoderF32 {
-    l1_wt: Vec<f32>,
-    l1_b: Vec<f32>,
-    /// Second-layer weight row (`out_dim = 1`).
-    l2_w: Vec<f32>,
-    l2_b: f32,
-}
-
-/// Reusable buffers for the f32 inference path ([`InferencePlanF32`]).
-///
-/// Mirrors [`InferScratch`]: create once, pass to every call; buffers are
-/// sized lazily and reused.  Contents are fully overwritten per inference.
-/// Buffers are column-interleaved panels of `b` right-hand sides; the
-/// direction-fused ones (`a_dst`, `a_src`, `hsum`) are `n × 2d × b`.
-#[derive(Debug, Default)]
-pub struct InferScratchF32 {
-    input: Vec<f32>,
-    h: Vec<f32>,
-    a_dst: Vec<f32>,
-    a_src: Vec<f32>,
-    hsum: Vec<f32>,
-    psi_hidden: Vec<f32>,
-    update: Vec<f32>,
-    hidden: Vec<f32>,
-}
-
-impl InferScratchF32 {
-    /// Empty scratch; buffers are allocated on first use.
-    pub fn new() -> Self {
-        InferScratchF32::default()
-    }
-}
-
-/// `acc[k] += max(g[k] + adj[k] + asj[k], 0)` — the fused edge sweep body.
-/// Equal-length slices let LLVM fold the four bounds checks and vectorise
-/// the whole row.
-#[inline(always)]
-fn relu_sum3_acc_f32(acc: &mut [f32], g: &[f32], adj: &[f32], asj: &[f32]) {
-    let d = acc.len();
-    let (g, adj, asj) = (&g[..d], &adj[..d], &asj[..d]);
-    for k in 0..d {
-        acc[k] += (g[k] + adj[k] + asj[k]).max(0.0);
-    }
-}
-
-/// Batched fused edge-sweep body: `acc`, `adj` and `asj` are `2d × b`
-/// column-interleaved panels, `g` the shared `2d` static row — loaded once
-/// per edge and broadcast over the `b` right-hand sides.  Per column the
-/// operation sequence equals [`relu_sum3_acc_f32`] exactly; at `b = 1` the
-/// panels are plain rows and that contiguous body runs directly.
-#[inline(always)]
-fn relu_sum3_acc_f32_b(acc: &mut [f32], g: &[f32], adj: &[f32], asj: &[f32], b: usize) {
-    if b == 1 {
-        return relu_sum3_acc_f32(acc, g, adj, asj);
-    }
-    let db = acc.len();
-    let (adj, asj) = (&adj[..db], &asj[..db]);
-    for (k, &gk) in g.iter().enumerate() {
-        let ak = &mut acc[k * b..(k + 1) * b];
-        let adjk = &adj[k * b..(k + 1) * b];
-        let asjk = &asj[k * b..(k + 1) * b];
-        for c in 0..b {
-            ak[c] += (gk + adjk[c] + asjk[c]).max(0.0);
-        }
-    }
-}
-
-/// A per-graph single-precision inference plan: the f32 sibling of
-/// [`InferencePlan`].
-///
-/// Built once per sub-domain graph via [`DssModel::build_plan_f32`]; the
-/// forward pass ([`InferencePlanF32::infer_into`]) runs entirely in f32 —
-/// the caller's residual is converted on entry and the decoded output is
-/// widened back to f64 on exit, so the surrounding solver stays in double
-/// precision.  The plan snapshots *all* weights it needs (including Ψ's
-/// second layer and the final decoder), making the apply independent of the
-/// model object.
-pub struct InferencePlanF32 {
-    pub(crate) num_nodes: usize,
-    pub(crate) num_edges: usize,
-    pub(crate) latent_dim: usize,
-    pub(crate) num_blocks: usize,
-    alpha: f32,
-    /// Source node of every destination-sorted edge (u32: sub-domain graphs
-    /// are far below 2³² nodes, and the narrower index halves gather
-    /// traffic).
-    edge_src: Vec<u32>,
-    /// Destination offsets into the sorted edge list (`n + 1` entries).
-    edge_ptr: Vec<usize>,
-    blocks: Vec<PlanBlockF32>,
-    decoder: Option<DecoderF32>,
-}
-
-impl InferencePlanF32 {
-    /// Build an f32 plan for `model` on `graph`.
-    pub fn new(model: &DssModel, graph: &LocalGraph) -> Self {
-        let config = model.config();
-        let d = config.latent_dim;
-        let n = graph.num_nodes();
-        let e = graph.num_edges();
-        assert_eq!(graph.edge_ptr.len(), n + 1, "stale incidence: run rebuild_incidence");
-        assert_eq!(graph.edge_order.len(), e, "stale incidence: run rebuild_incidence");
-        let edge_src: Vec<u32> =
-            graph.edge_order.iter().map(|&ei| graph.edges[ei].src as u32).collect();
-        let blocks: Vec<PlanBlockF32> =
-            model.blocks().iter().map(|b| PlanBlockF32::new(b, graph, d)).collect();
-        let decoder = model.blocks().last().map(|b| DecoderF32 {
-            l1_wt: b.decoder.l1.weight_t_f32(),
-            l1_b: b.decoder.l1.bias_f32(),
-            l2_w: cast_f32(&b.decoder.l2.weight),
-            l2_b: b.decoder.l2.bias[0] as f32,
-        });
-        InferencePlanF32 {
-            num_nodes: n,
-            num_edges: e,
-            latent_dim: d,
-            num_blocks: config.num_blocks,
-            alpha: config.alpha as f32,
-            edge_src,
-            edge_ptr: graph.edge_ptr.clone(),
-            blocks,
-            decoder,
-        }
-    }
-
-    /// Number of nodes of the graph this plan was built for.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of directed edges of the graph this plan was built for.
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Heap footprint of the precomputed data in bytes (about half the f64
-    /// plan's: the dominant static edge terms are stored single-precision).
-    pub fn memory_bytes(&self) -> usize {
-        self.blocks.iter().map(PlanBlockF32::memory_bytes).sum::<usize>()
-            + self.decoder.as_ref().map_or(0, |dec| {
-                std::mem::size_of::<f32>() * (dec.l1_wt.len() + dec.l1_b.len() + dec.l2_w.len() + 1)
-            })
-            + std::mem::size_of::<u32>() * self.edge_src.len()
-            + std::mem::size_of::<usize>() * self.edge_ptr.len()
-    }
-
-    /// Run the single-precision engine on one right-hand side: `input` (the
-    /// normalised residual) is converted to f32 on entry, the decoded output
-    /// is widened back into `out`.  All intermediates live in `scratch`; the
-    /// steady state allocates nothing.  This is
-    /// [`InferencePlanF32::infer_into_b`] at `b = 1`.
-    pub fn infer_into(&self, input: &[f64], scratch: &mut InferScratchF32, out: &mut [f64]) {
-        self.infer_into_b(input, 1, scratch, out);
-    }
-
-    /// Batched forward pass over `b` right-hand sides: `input` and `out` are
-    /// column-interleaved `n × b` panels (`input[j*b + c]` is column `c`'s
-    /// value at node `j`).  One sweep over the plan's static streams serves
-    /// all `b` columns; column `c` of the output matches
-    /// [`InferencePlanF32::infer_into`] run on that column alone.
-    pub fn infer_into_b(
+    /// The forward pass over a column-interleaved `n × b` panel, with an
+    /// optional per-stage wall-clock breakdown.  Only the final block's
+    /// decoder runs — earlier decodes are training-time artefacts that do
+    /// not influence the latent state.
+    pub(crate) fn infer_core_b(
         &self,
         input: &[f64],
         b: usize,
-        scratch: &mut InferScratchF32,
-        out: &mut [f64],
-    ) {
-        self.infer_core_b(input, b, scratch, out, None);
-    }
-
-    /// [`InferencePlanF32::infer_into_b`] with a per-stage wall-clock
-    /// breakdown accumulated into `timings`.
-    pub fn infer_timed_b(
-        &self,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratchF32,
-        out: &mut [f64],
-        timings: &mut InferenceTimings,
-    ) {
-        self.infer_core_b(input, b, scratch, out, Some(timings));
-    }
-
-    fn infer_core_b(
-        &self,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratchF32,
+        scratch: &mut Scratch<P>,
         out: &mut [f64],
         mut timings: Option<&mut InferenceTimings>,
     ) {
-        let d = self.latent_dim;
-        let n = self.num_nodes;
+        let (d, n) = (self.latent_dim, self.num_nodes);
         assert_eq!(input.len(), n * b, "input panel length mismatch");
         assert_eq!(out.len(), n * b, "output panel length mismatch");
-
-        let InferScratchF32 { input: input32, h, a_dst, a_src, hsum, psi_hidden, update, hidden } =
+        let zero = P::Act::ZERO;
+        let Scratch { input: x, h, a_dst, a_src, acc, hsum, wbuf, psi_hidden, update, hidden } =
             scratch;
-        input32.clear();
-        input32.extend(input.iter().map(|&v| v as f32));
+        x.clear();
+        x.extend(input.iter().map(|&v| P::Act::from_f64(v)));
         h.clear();
-        h.resize(n * d * b, 0.0);
-        let d2 = 2 * d;
-        a_dst.resize(n * d2 * b, 0.0);
-        a_src.resize(n * d2 * b, 0.0);
-        hsum.resize(n * d2 * b, 0.0);
-        psi_hidden.resize(n * d * b, 0.0);
-        update.resize(n * d * b, 0.0);
-        hidden.resize(n * d * b, 0.0);
+        h.resize(n * d * b, zero);
+        let (d2, db, d2b) = (2 * d, d * b, 2 * d * b);
+        a_dst.resize(n * d2b, zero);
+        a_src.resize(n * d2b, zero);
+        acc.resize(d2b, zero);
+        hsum.resize(n * d2b, P::Stat::default());
+        psi_hidden.resize(n * db, zero);
+        update.resize(n * db, zero);
+        hidden.resize(n * db, zero);
 
         let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
         macro_rules! tick {
@@ -620,601 +630,72 @@ impl InferencePlanF32 {
             };
         }
 
-        let d2b = d2 * b;
         for pb in &self.blocks {
             // Node-level GEMMs, both message directions at once, all b
             // columns per weight load.
-            gemm::gemm_t_into_f32_b(h, n, d, d2, b, &pb.w_dst_cat_t, a_dst);
-            gemm::gemm_t_into_f32_b(h, n, d, d2, b, &pb.w_src_cat_t, a_src);
+            P::gemm(h, n, d, d2, b, &pb.w_dst, Init::Zero, wbuf, a_dst);
+            P::gemm(h, n, d, d2, b, &pb.w_src, Init::Zero, wbuf, a_src);
             tick!(node_gemm_ns);
-            // Fused edge sweep: the static geo row is read once per edge and
-            // broadcast across the b columns.
+            // Fused edge sweep: per-edge hidden pre-activation = static term
+            // + gathered node terms, ReLU'd and summed per node.  The second
+            // message layer is linear, so it is applied once per *node*
+            // inside the Ψ stage (composed into `psi_m`): no e × d
+            // intermediate exists.
             for j in 0..n {
                 let adj = &a_dst[j * d2b..(j + 1) * d2b];
-                let acc = &mut hsum[j * d2b..(j + 1) * d2b];
-                acc.fill(0.0);
-                for slot in self.edge_ptr[j]..self.edge_ptr[j + 1] {
-                    let src = self.edge_src[slot] as usize;
-                    relu_sum3_acc_f32_b(
-                        acc,
-                        &pb.geo_cat[slot * d2..(slot + 1) * d2],
-                        adj,
-                        &a_src[src * d2b..(src + 1) * d2b],
-                        b,
-                    );
-                }
+                P::sum_row(&mut hsum[j * d2b..(j + 1) * d2b], acc, |acc| {
+                    for slot in self.edge_ptr[j]..self.edge_ptr[j + 1] {
+                        let src = self.edge_src[slot] as usize;
+                        let asj = &a_src[src * d2b..(src + 1) * d2b];
+                        relu_sum3_acc(acc, &pb.geo[slot * d2..(slot + 1) * d2], adj, asj, b);
+                    }
+                });
             }
             tick!(edge_gather_ns);
+            // Ψ update.  The pre-activation starts from the per-graph static
+            // term plus the per-apply `W_c c` term, then accumulates the
+            // latent GEMM and the fused message GEMM.
             for j in 0..n {
-                let cin = &input32[j * b..(j + 1) * b];
+                let cin = &x[j * b..(j + 1) * b];
                 let stat = &pb.psi_static[j * d..(j + 1) * d];
-                let row = &mut psi_hidden[j * d * b..(j + 1) * d * b];
+                let row = &mut psi_hidden[j * db..(j + 1) * db];
                 if b == 1 {
                     // Contiguous `d`-wide row body (vectorises).
                     for k in 0..d {
-                        row[k] = stat[k] + pb.psi_w_c[k] * cin[0];
+                        row[k] = stat[k].widen() + pb.psi_w_c[k] * cin[0];
                     }
                     continue;
                 }
                 for k in 0..d {
-                    let s = stat[k];
-                    let wc = pb.psi_w_c[k];
+                    let (s, wc) = (stat[k].widen(), pb.psi_w_c[k]);
                     let rk = &mut row[k * b..(k + 1) * b];
                     for c in 0..b {
                         rk[c] = s + wc * cin[c];
                     }
                 }
             }
-            gemm::gemm_t_acc_into_f32_b(h, n, d, d, b, &pb.psi_w_h_t, psi_hidden);
-            gemm::gemm_t_acc_into_f32_b(hsum, n, d2, d, b, &pb.psi_m_cat_t, psi_hidden);
+            P::gemm(h, n, d, d, b, &pb.psi_w_h, Init::Acc, wbuf, psi_hidden);
+            P::gemm(hsum, n, d2, d, b, &pb.psi_m, Init::Acc, wbuf, psi_hidden);
             for v in psi_hidden.iter_mut() {
-                *v = v.max(0.0);
+                *v = v.relu();
             }
-            gemm::gemm_t_bias_into_f32_b(
-                psi_hidden,
-                n,
-                d,
-                d,
-                b,
-                &pb.psi_l2_wt,
-                &pb.psi_l2_b,
-                update,
-            );
-            for (hv, uv) in h.iter_mut().zip(update.iter()) {
-                *hv += self.alpha * *uv;
+            let l2 = &pb.psi_l2;
+            gemm_t(psi_hidden, n, d, d, b, &l2.wt, Init::Bias(&l2.bias), None, update);
+            for (hv, &uv) in h.iter_mut().zip(update.iter()) {
+                *hv += self.alpha * uv;
             }
             tick!(psi_update_ns);
         }
         match &self.decoder {
-            Some(dec) => {
-                gemm::gemm_t_bias_into_f32_b(h, n, d, d, b, &dec.l1_wt, &dec.l1_b, hidden);
+            Some([l1, l2]) => {
+                gemm_t(h, n, d, d, b, &l1.wt, Init::Bias(&l1.bias), None, hidden);
                 for v in hidden.iter_mut() {
-                    *v = v.max(0.0);
+                    *v = v.relu();
                 }
-                for j in 0..n {
-                    let row = &hidden[j * d * b..(j + 1) * d * b];
-                    for c in 0..b {
-                        let mut acc = dec.l2_b;
-                        for k in 0..d {
-                            acc += dec.l2_w[k] * row[k * b + c];
-                        }
-                        out[j * b + c] = acc as f64;
-                    }
-                }
-            }
-            None => out.fill(0.0),
-        }
-        tick!(decoder_ns);
-        let _ = last; // the final tick's stamp is intentionally unused
-        if let Some(t) = timings {
-            t.calls += 1;
-        }
-    }
-}
-
-/// Per-output-column int8 quantisation of a transposed (`in × out`) f64
-/// matrix: `scale[o] = max_i |wt[i][o]| / 127` (1.0 for all-zero columns, so
-/// the quantised values stay 0), `q[i][o] = round(wt[i][o] / scale[o])`.
-///
-/// One scale per *output* equals one scale per row of the original
-/// `out × in` weight — the per-output-row scheme: each output's dot product
-/// is exact up to a single rounding per weight, and dequantisation is one
-/// multiply per output after the shared-axis sweep.
-fn quantise_cols_i8(wt: &[f64], in_dim: usize, out_dim: usize) -> (Vec<i8>, Vec<f32>) {
-    debug_assert_eq!(wt.len(), in_dim * out_dim);
-    let mut q = vec![0i8; wt.len()];
-    let mut scale = vec![0.0f32; out_dim];
-    for o in 0..out_dim {
-        let amax = (0..in_dim).map(|i| wt[i * out_dim + o].abs()).fold(0.0f64, f64::max);
-        let s = if amax == 0.0 { 1.0 } else { amax / 127.0 };
-        scale[o] = s as f32;
-        for i in 0..in_dim {
-            q[i * out_dim + o] = (wt[i * out_dim + o] / s).round().clamp(-127.0, 127.0) as i8;
-        }
-    }
-    (q, scale)
-}
-
-/// Transpose a row-major `out × in` f64 matrix into the kernels' `in × out`
-/// layout, staying in f64 (quantisation happens afterwards, once).
-fn transpose_f64(w: &[f64], out_dim: usize, in_dim: usize) -> Vec<f64> {
-    debug_assert_eq!(w.len(), out_dim * in_dim);
-    let mut wt = vec![0.0f64; in_dim * out_dim];
-    for o in 0..out_dim {
-        for i in 0..in_dim {
-            wt[i * out_dim + o] = w[o * in_dim + i];
-        }
-    }
-    wt
-}
-
-/// Concatenate two row-major `d × d` f64 matrices column-wise and transpose
-/// the pair into `in × out` (`d × 2d`) — the f64 twin of
-/// [`cat_transpose_cast_f32`], feeding the quantiser.
-fn cat_transpose_f64(a: &[f64], b: &[f64], d: usize) -> Vec<f64> {
-    debug_assert_eq!(a.len(), d * d);
-    debug_assert_eq!(b.len(), d * d);
-    let mut wt = vec![0.0f64; d * 2 * d];
-    for o in 0..d {
-        for i in 0..d {
-            wt[i * 2 * d + o] = a[o * d + i];
-            wt[i * 2 * d + d + o] = b[o * d + i];
-        }
-    }
-    wt
-}
-
-/// Quantised counterpart of [`PlanBlockF32`]: same direction-fused layout,
-/// with the weight matrices stored as int8 + per-output f32 scales and the
-/// two dominant memory streams — the `[fwd | bwd]` static geo/bias edge
-/// terms (`e × 2d`) and the per-node static Ψ pre-activation (`n × d`) —
-/// stored as bf16.  The tiny Ψ `W_c` column, Ψ's second layer and the
-/// decoder stay f32: they are negligible in both memory and error budget.
-/// All splits/compositions are computed in f64 (via [`PlanBlock`]) and
-/// quantised exactly once.
-struct PlanBlockQ {
-    /// `[W_dst,→ | W_dst,←]` transposed, int8: `d × 2d` + `2d` scales.
-    w_dst_cat_q: Vec<i8>,
-    w_dst_cat_scale: Vec<f32>,
-    /// `[W_src,→ | W_src,←]` transposed, int8.
-    w_src_cat_q: Vec<i8>,
-    w_src_cat_scale: Vec<f32>,
-    /// `[geo→ | geo←]` per destination-sorted edge, bf16: `e × 2d`.
-    geo_cat: Vec<u16>,
-    /// `Ψ` first-layer columns acting on `h`, transposed int8: `d × d`.
-    psi_w_h_q: Vec<i8>,
-    psi_w_h_scale: Vec<f32>,
-    /// `Ψ` first-layer column acting on the node input `c` (length `d`, f32).
-    psi_w_c: Vec<f32>,
-    /// `[W_Ψ,→ W₂→ ; W_Ψ,← W₂←]` transposed int8: `2d × d`.
-    psi_m_cat_q: Vec<i8>,
-    psi_m_cat_scale: Vec<f32>,
-    /// Per-node static `Ψ` pre-activation, bf16 (`n × d`).
-    psi_static: Vec<u16>,
-    /// Ψ second layer, transposed weight + bias (f32).
-    psi_l2_wt: Vec<f32>,
-    psi_l2_b: Vec<f32>,
-}
-
-impl PlanBlockQ {
-    fn new(block: &Block, graph: &LocalGraph, d: usize) -> Self {
-        let pb = PlanBlock::new(block, graph, d);
-        let e = graph.num_edges();
-        // bf16 static edge terms, direction-fused exactly like the f32 plan.
-        let mut geo_cat = vec![0u16; e * 2 * d];
-        for slot in 0..e {
-            for k in 0..d {
-                geo_cat[slot * 2 * d + k] = gemm::f32_to_bf16(pb.geo_fwd[slot * d + k] as f32);
-                geo_cat[slot * 2 * d + d + k] = gemm::f32_to_bf16(pb.geo_bwd[slot * d + k] as f32);
-            }
-        }
-        let psi_static: Vec<u16> =
-            pb.psi_static.iter().map(|&v| gemm::f32_to_bf16(v as f32)).collect();
-        // Composed message matrices stacked as GEMM inputs (fwd rows then bwd
-        // rows of the transposed layout), then quantised per output column.
-        let mut psi_m_cat_t = vec![0.0f64; 2 * d * d];
-        for i in 0..d {
-            for o in 0..d {
-                psi_m_cat_t[i * d + o] = pb.psi_m_fwd[o * d + i];
-                psi_m_cat_t[(d + i) * d + o] = pb.psi_m_bwd[o * d + i];
-            }
-        }
-        let (w_dst_cat_q, w_dst_cat_scale) =
-            quantise_cols_i8(&cat_transpose_f64(&pb.w_dst_fwd, &pb.w_dst_bwd, d), d, 2 * d);
-        let (w_src_cat_q, w_src_cat_scale) =
-            quantise_cols_i8(&cat_transpose_f64(&pb.w_src_fwd, &pb.w_src_bwd, d), d, 2 * d);
-        let (psi_w_h_q, psi_w_h_scale) = quantise_cols_i8(&transpose_f64(&pb.psi_w_h, d, d), d, d);
-        let (psi_m_cat_q, psi_m_cat_scale) = quantise_cols_i8(&psi_m_cat_t, 2 * d, d);
-        PlanBlockQ {
-            w_dst_cat_q,
-            w_dst_cat_scale,
-            w_src_cat_q,
-            w_src_cat_scale,
-            geo_cat,
-            psi_w_h_q,
-            psi_w_h_scale,
-            psi_w_c: cast_f32(&pb.psi_w_c),
-            psi_m_cat_q,
-            psi_m_cat_scale,
-            psi_static,
-            psi_l2_wt: block.psi.l2.weight_t_f32(),
-            psi_l2_b: block.psi.l2.bias_f32(),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.w_dst_cat_q.len()
-            + self.w_src_cat_q.len()
-            + self.psi_w_h_q.len()
-            + self.psi_m_cat_q.len()
-            + std::mem::size_of::<u16>() * (self.geo_cat.len() + self.psi_static.len())
-            + std::mem::size_of::<f32>()
-                * (self.w_dst_cat_scale.len()
-                    + self.w_src_cat_scale.len()
-                    + self.psi_w_h_scale.len()
-                    + self.psi_m_cat_scale.len()
-                    + self.psi_w_c.len()
-                    + self.psi_l2_wt.len()
-                    + self.psi_l2_b.len())
-    }
-}
-
-/// Reusable buffers for the quantised inference path ([`InferencePlanQ`]).
-///
-/// Mirrors [`InferScratchF32`], with two differences: the per-node hidden
-/// sums are *stored* bf16 (`n × 2d × b` `u16`s — halving the read traffic of
-/// the Ψ message GEMM) and a single `2d × b` f32 panel row (`acc`)
-/// accumulates each node's edge sweep before it is rounded to bf16 once.
-#[derive(Debug, Default)]
-pub struct InferScratchQ {
-    input: Vec<f32>,
-    h: Vec<f32>,
-    a_dst: Vec<f32>,
-    a_src: Vec<f32>,
-    /// Per-node hidden sums, bf16-packed (`n × 2d × b`).
-    hsum: Vec<u16>,
-    /// f32 accumulator row for one node's edge sweep (`2d × b`).
-    acc: Vec<f32>,
-    /// Widened-weight panel of the int8 GEMM kernels (`≤ 2d × 2d`).
-    wbuf: Vec<f32>,
-    psi_hidden: Vec<f32>,
-    update: Vec<f32>,
-    hidden: Vec<f32>,
-}
-
-impl InferScratchQ {
-    /// Empty scratch; buffers are allocated on first use.
-    pub fn new() -> Self {
-        InferScratchQ::default()
-    }
-}
-
-/// `acc[k] += max(decode(g[k]) + adj[k] + asj[k], 0)` — the fused edge-sweep
-/// body with bf16 static terms decoded on the fly (a 16-bit shift per lane).
-#[inline(always)]
-fn relu_sum3_acc_bf16_geo(acc: &mut [f32], g: &[u16], adj: &[f32], asj: &[f32]) {
-    let d = acc.len();
-    let (g, adj, asj) = (&g[..d], &adj[..d], &asj[..d]);
-    for k in 0..d {
-        acc[k] += (gemm::bf16_to_f32(g[k]) + adj[k] + asj[k]).max(0.0);
-    }
-}
-
-/// Batched bf16 edge-sweep body: the static term is **decoded once per edge**
-/// and broadcast across the `b` columns.  Per column the operation sequence
-/// equals [`relu_sum3_acc_bf16_geo`] exactly; at `b = 1` that contiguous body
-/// runs directly.
-#[inline(always)]
-fn relu_sum3_acc_bf16_geo_b(acc: &mut [f32], g: &[u16], adj: &[f32], asj: &[f32], b: usize) {
-    if b == 1 {
-        return relu_sum3_acc_bf16_geo(acc, g, adj, asj);
-    }
-    let db = acc.len();
-    let (adj, asj) = (&adj[..db], &asj[..db]);
-    for (k, &gq) in g.iter().enumerate() {
-        let gk = gemm::bf16_to_f32(gq);
-        let ak = &mut acc[k * b..(k + 1) * b];
-        let adjk = &adj[k * b..(k + 1) * b];
-        let asjk = &asj[k * b..(k + 1) * b];
-        for c in 0..b {
-            ak[c] += (gk + adjk[c] + asjk[c]).max(0.0);
-        }
-    }
-}
-
-/// A per-graph **quantised** inference plan: int8 weights (per-output f32
-/// scales), bf16 static streams, f32 accumulators — the third member of the
-/// [`InferencePlan`] / [`InferencePlanF32`] family.
-///
-/// Built once per sub-domain graph via [`DssModel::build_plan_q`]; the
-/// forward pass ([`InferencePlanQ::infer_into`]) keeps all *state* (latent
-/// `H`, node GEMM outputs, Ψ pre-activations) in f32 and dequantises weights
-/// inside the GEMM kernels, so accuracy degrades only by the weight rounding
-/// (≤ 2⁻⁸ relative per weight) and the bf16 rounding of the static streams
-/// (≤ 2⁻⁹ relative each) — in practice ~1e-3 relative on the decoded output,
-/// far below what the flexible outer Krylov method notices.  The residual is
-/// converted on entry and the decoded output widened back to f64 on exit,
-/// exactly like the f32 engine.
-///
-/// The plan's memory footprint is roughly **half the f32 plan's** (the
-/// dominant `e × 2d` static edge stream and the `n × d` static Ψ term are
-/// 2-byte, the weights 1-byte), which is what the bandwidth-bound edge sweep
-/// actually pays for.
-pub struct InferencePlanQ {
-    pub(crate) num_nodes: usize,
-    pub(crate) num_edges: usize,
-    pub(crate) latent_dim: usize,
-    pub(crate) num_blocks: usize,
-    alpha: f32,
-    /// Source node of every destination-sorted edge (u32, like the f32 plan).
-    edge_src: Vec<u32>,
-    /// Destination offsets into the sorted edge list (`n + 1` entries).
-    edge_ptr: Vec<usize>,
-    blocks: Vec<PlanBlockQ>,
-    decoder: Option<DecoderF32>,
-}
-
-impl InferencePlanQ {
-    /// Build a quantised plan for `model` on `graph`.
-    pub fn new(model: &DssModel, graph: &LocalGraph) -> Self {
-        let config = model.config();
-        let d = config.latent_dim;
-        let n = graph.num_nodes();
-        let e = graph.num_edges();
-        assert_eq!(graph.edge_ptr.len(), n + 1, "stale incidence: run rebuild_incidence");
-        assert_eq!(graph.edge_order.len(), e, "stale incidence: run rebuild_incidence");
-        let edge_src: Vec<u32> =
-            graph.edge_order.iter().map(|&ei| graph.edges[ei].src as u32).collect();
-        let blocks: Vec<PlanBlockQ> =
-            model.blocks().iter().map(|b| PlanBlockQ::new(b, graph, d)).collect();
-        let decoder = model.blocks().last().map(|b| DecoderF32 {
-            l1_wt: b.decoder.l1.weight_t_f32(),
-            l1_b: b.decoder.l1.bias_f32(),
-            l2_w: cast_f32(&b.decoder.l2.weight),
-            l2_b: b.decoder.l2.bias[0] as f32,
-        });
-        InferencePlanQ {
-            num_nodes: n,
-            num_edges: e,
-            latent_dim: d,
-            num_blocks: config.num_blocks,
-            alpha: config.alpha as f32,
-            edge_src,
-            edge_ptr: graph.edge_ptr.clone(),
-            blocks,
-            decoder,
-        }
-    }
-
-    /// Number of nodes of the graph this plan was built for.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of directed edges of the graph this plan was built for.
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Heap footprint of the precomputed data in bytes (about half the f32
-    /// plan's: the dominant static streams are 2-byte, the weights 1-byte).
-    pub fn memory_bytes(&self) -> usize {
-        self.blocks.iter().map(PlanBlockQ::memory_bytes).sum::<usize>()
-            + self.decoder.as_ref().map_or(0, |dec| {
-                std::mem::size_of::<f32>() * (dec.l1_wt.len() + dec.l1_b.len() + dec.l2_w.len() + 1)
-            })
-            + std::mem::size_of::<u32>() * self.edge_src.len()
-            + std::mem::size_of::<usize>() * self.edge_ptr.len()
-    }
-
-    /// Run the quantised engine on one right-hand side: `input` (the
-    /// normalised residual) is converted to f32 on entry, the decoded output
-    /// is widened back into `out`.  All intermediates live in `scratch`; the
-    /// steady state allocates nothing.  This is
-    /// [`InferencePlanQ::infer_into_b`] at `b = 1`.
-    pub fn infer_into(&self, input: &[f64], scratch: &mut InferScratchQ, out: &mut [f64]) {
-        self.infer_into_b(input, 1, scratch, out);
-    }
-
-    /// Batched quantised forward pass over `b` right-hand sides: `input` and
-    /// `out` are column-interleaved `n × b` panels.  The bf16 static streams
-    /// (geo edge terms and the Ψ static rows) are decoded once per element
-    /// and broadcast across all `b` columns; column `c` of the output matches
-    /// [`InferencePlanQ::infer_into`] run on that column alone.
-    pub fn infer_into_b(
-        &self,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratchQ,
-        out: &mut [f64],
-    ) {
-        self.infer_core_b(input, b, scratch, out, None);
-    }
-
-    /// [`InferencePlanQ::infer_into_b`] with a per-stage wall-clock breakdown
-    /// accumulated into `timings`.
-    pub fn infer_timed_b(
-        &self,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratchQ,
-        out: &mut [f64],
-        timings: &mut InferenceTimings,
-    ) {
-        self.infer_core_b(input, b, scratch, out, Some(timings));
-    }
-
-    fn infer_core_b(
-        &self,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratchQ,
-        out: &mut [f64],
-        mut timings: Option<&mut InferenceTimings>,
-    ) {
-        let d = self.latent_dim;
-        let n = self.num_nodes;
-        assert_eq!(input.len(), n * b, "input panel length mismatch");
-        assert_eq!(out.len(), n * b, "output panel length mismatch");
-
-        let InferScratchQ {
-            input: input32,
-            h,
-            a_dst,
-            a_src,
-            hsum,
-            acc,
-            wbuf,
-            psi_hidden,
-            update,
-            hidden,
-        } = scratch;
-        input32.clear();
-        input32.extend(input.iter().map(|&v| v as f32));
-        h.clear();
-        h.resize(n * d * b, 0.0);
-        let d2 = 2 * d;
-        a_dst.resize(n * d2 * b, 0.0);
-        a_src.resize(n * d2 * b, 0.0);
-        hsum.resize(n * d2 * b, 0);
-        acc.resize(d2 * b, 0.0);
-        psi_hidden.resize(n * d * b, 0.0);
-        update.resize(n * d * b, 0.0);
-        hidden.resize(n * d * b, 0.0);
-
-        let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-        macro_rules! tick {
-            ($field:ident) => {
-                if let Some(t) = timings.as_deref_mut() {
-                    let now = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-                    t.$field += now.duration_since(last).as_nanos() as u64;
-                    last = now;
-                }
-            };
-        }
-
-        let d2b = d2 * b;
-        for pb in &self.blocks {
-            // Node-level int8 GEMMs, both message directions at once, all b
-            // columns per weight load: the weights dequantise inside the
-            // kernel, the outputs land in f32.
-            gemm::gemm_t_into_i8_b(
-                h,
-                n,
-                d,
-                d2,
-                b,
-                &pb.w_dst_cat_q,
-                &pb.w_dst_cat_scale,
-                wbuf,
-                a_dst,
-            );
-            gemm::gemm_t_into_i8_b(
-                h,
-                n,
-                d,
-                d2,
-                b,
-                &pb.w_src_cat_q,
-                &pb.w_src_cat_scale,
-                wbuf,
-                a_src,
-            );
-            tick!(node_gemm_ns);
-            // Fused edge sweep: bf16 static terms decoded once per edge for
-            // all b columns, f32 accumulation into one panel row, rounded to
-            // bf16 once per node.
-            for j in 0..n {
-                let adj = &a_dst[j * d2b..(j + 1) * d2b];
-                acc.fill(0.0);
-                for slot in self.edge_ptr[j]..self.edge_ptr[j + 1] {
-                    let src = self.edge_src[slot] as usize;
-                    relu_sum3_acc_bf16_geo_b(
-                        acc,
-                        &pb.geo_cat[slot * d2..(slot + 1) * d2],
-                        adj,
-                        &a_src[src * d2b..(src + 1) * d2b],
-                        b,
-                    );
-                }
-                gemm::store_bf16(acc, &mut hsum[j * d2b..(j + 1) * d2b]);
-            }
-            tick!(edge_gather_ns);
-            for j in 0..n {
-                let cin = &input32[j * b..(j + 1) * b];
-                let stat = &pb.psi_static[j * d..(j + 1) * d];
-                let row = &mut psi_hidden[j * d * b..(j + 1) * d * b];
-                if b == 1 {
-                    // Contiguous `d`-wide row body (vectorises).
-                    for k in 0..d {
-                        row[k] = gemm::bf16_to_f32(stat[k]) + pb.psi_w_c[k] * cin[0];
-                    }
-                    continue;
-                }
-                for k in 0..d {
-                    let s = gemm::bf16_to_f32(stat[k]);
-                    let wc = pb.psi_w_c[k];
-                    let rk = &mut row[k * b..(k + 1) * b];
-                    for c in 0..b {
-                        rk[c] = s + wc * cin[c];
-                    }
-                }
-            }
-            gemm::gemm_t_acc_into_i8_b(
-                h,
-                n,
-                d,
-                d,
-                b,
-                &pb.psi_w_h_q,
-                &pb.psi_w_h_scale,
-                wbuf,
-                psi_hidden,
-            );
-            gemm::gemm_t_acc_into_i8_bf16_b(
-                hsum,
-                n,
-                d2,
-                d,
-                b,
-                &pb.psi_m_cat_q,
-                &pb.psi_m_cat_scale,
-                wbuf,
-                psi_hidden,
-            );
-            for v in psi_hidden.iter_mut() {
-                *v = v.max(0.0);
-            }
-            gemm::gemm_t_bias_into_f32_b(
-                psi_hidden,
-                n,
-                d,
-                d,
-                b,
-                &pb.psi_l2_wt,
-                &pb.psi_l2_b,
-                update,
-            );
-            for (hv, uv) in h.iter_mut().zip(update.iter()) {
-                *hv += self.alpha * *uv;
-            }
-            tick!(psi_update_ns);
-        }
-        match &self.decoder {
-            Some(dec) => {
-                gemm::gemm_t_bias_into_f32_b(h, n, d, d, b, &dec.l1_wt, &dec.l1_b, hidden);
-                for v in hidden.iter_mut() {
-                    *v = v.max(0.0);
-                }
-                for j in 0..n {
-                    let row = &hidden[j * d * b..(j + 1) * d * b];
-                    for c in 0..b {
-                        let mut acc = dec.l2_b;
-                        for k in 0..d {
-                            acc += dec.l2_w[k] * row[k * b + c];
-                        }
-                        out[j * b + c] = acc as f64;
-                    }
+                let y = &mut update[..n * b];
+                gemm_t(hidden, n, d, 1, b, &l2.wt, Init::Bias(&l2.bias), None, y);
+                for (o, &v) in out.iter_mut().zip(y.iter()) {
+                    *o = v.to_f64();
                 }
             }
             None => out.fill(0.0),
