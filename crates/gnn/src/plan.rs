@@ -121,7 +121,11 @@ pub trait PlanPrecision: Default + std::fmt::Debug + Send + Sync + 'static {
     /// One node's edge sweep: run `sweep` on a zeroed accumulator row and
     /// leave the sums in `row`.  The plain precisions accumulate in place;
     /// int8 accumulates in f32 (`acc`) and rounds to bf16 once.
-    fn sum_row(row: &mut [Self::Stat], acc: &mut [Self::Act], sweep: impl FnOnce(&mut [Self::Act]));
+    fn sum_row(
+        row: &mut [Self::Stat],
+        acc: &mut Vec<Self::Act>,
+        sweep: impl FnOnce(&mut [Self::Act]),
+    );
     /// Weights from a transposed (`in × out`) f64 matrix.
     fn weights(wt: &[f64], in_dim: usize, out_dim: usize) -> Self::Weights;
     /// Heap bytes of a weight matrix.
@@ -167,7 +171,7 @@ macro_rules! impl_plain_precision {
                 v
             }
             #[inline(always)]
-            fn sum_row(row: &mut [$t], _: &mut [$t], sweep: impl FnOnce(&mut [$t])) {
+            fn sum_row(row: &mut [$t], _: &mut Vec<$t>, sweep: impl FnOnce(&mut [$t])) {
                 row.fill(0.0);
                 sweep(row);
             }
@@ -212,8 +216,9 @@ impl PlanPrecision for Int8 {
         gemm::f32_to_bf16(v)
     }
     #[inline(always)]
-    fn sum_row(row: &mut [u16], acc: &mut [f32], sweep: impl FnOnce(&mut [f32])) {
-        acc.fill(0.0);
+    fn sum_row(row: &mut [u16], acc: &mut Vec<f32>, sweep: impl FnOnce(&mut [f32])) {
+        acc.clear();
+        acc.resize(row.len(), 0.0);
         sweep(acc);
         for (s, &a) in row.iter_mut().zip(acc.iter()) {
             *s = Self::store(a);
@@ -613,7 +618,6 @@ impl<P: PlanPrecision> Plan<P> {
         let (d2, db, d2b) = (2 * d, d * b, 2 * d * b);
         a_dst.resize(n * d2b, zero);
         a_src.resize(n * d2b, zero);
-        acc.resize(d2b, zero);
         hsum.resize(n * d2b, P::Stat::default());
         psi_hidden.resize(n * db, zero);
         update.resize(n * db, zero);
